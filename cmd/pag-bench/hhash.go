@@ -1,9 +1,13 @@
 package main
 
 // Crypto microbenchmark recorder: -hhash <path> times the homomorphic
-// hash hot paths with testing.Benchmark and records µs/op and allocs/op
-// per modulus size, so the multi-exp optimisation's effect is an artifact
-// of the repository rather than a claim in a commit message.
+// hash hot paths (lift, multi-exp verification, prime generation) with
+// testing.Benchmark at prime bits equal to modulus bits, the session
+// default, and records the median µs/op of hhashRepeats runs with its
+// quartiles, allocs/op, the core count and the git revision, so an
+// optimisation's effect is an artifact of the repository rather than a
+// claim in a commit message. Build the tool with go build from a clean
+// checkout so the revision is stamped.
 
 import (
 	"encoding/json"
@@ -12,26 +16,36 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/hhash"
 )
 
+// hhashRepeats is how many times each operation is timed; a row records
+// the median and the quartiles.
+const hhashRepeats = 5
+
 // hhashResult is one (operation, modulus size) measurement.
 type hhashResult struct {
-	Op          string  `json:"op"`
-	ModulusBits int     `json:"modulus_bits"`
-	Preds       int     `json:"preds,omitempty"`
-	MicrosPerOp float64 `json:"us_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Op          string     `json:"op"`
+	ModulusBits int        `json:"modulus_bits"`
+	PrimeBits   int        `json:"prime_bits"`
+	Preds       int        `json:"preds,omitempty"`
+	MicrosPerOp float64    `json:"us_per_op"`
+	MicrosIQR   [2]float64 `json:"us_per_op_iqr"`
+	AllocsPerOp int64      `json:"allocs_per_op"`
 }
 
 type hhashReport struct {
 	Benchmark   string        `json:"benchmark"`
+	Revision    string        `json:"revision"`
+	Dirty       bool          `json:"dirty"`
 	NumCPU      int           `json:"num_cpu"`
 	GoMaxProcs  int           `json:"gomaxprocs"`
-	PrimeBits   int           `json:"prime_bits"`
+	Repeats     int           `json:"repeats"`
 	GeneratedAt string        `json:"generated_at"`
 	Results     []hhashResult `json:"results"`
 }
@@ -67,29 +81,58 @@ func cryptoBench(modBits, primeBits, preds int) (*hhash.Hasher, []*big.Int, []hh
 	return h, atts, rems, ack, nil
 }
 
+// record times fn hhashRepeats times and appends the median row.
 func record(report *hhashReport, op string, modBits, preds int, fn func(b *testing.B)) {
-	r := testing.Benchmark(fn)
+	us := make([]float64, hhashRepeats)
+	var allocs int64
+	for i := range us {
+		r := testing.Benchmark(fn)
+		us[i] = float64(r.NsPerOp()) / 1e3
+		allocs = r.AllocsPerOp()
+	}
+	sort.Float64s(us)
 	report.Results = append(report.Results, hhashResult{
 		Op:          op,
 		ModulusBits: modBits,
+		PrimeBits:   modBits,
 		Preds:       preds,
-		MicrosPerOp: float64(r.NsPerOp()) / 1e3,
-		AllocsPerOp: r.AllocsPerOp(),
+		MicrosPerOp: us[len(us)/2],
+		MicrosIQR:   [2]float64{us[len(us)/4], us[(3*len(us))/4]},
+		AllocsPerOp: allocs,
 	})
 }
 
+// buildRevision returns the VCS revision stamped into the binary by go
+// build, and whether the tree was modified.
+func buildRevision() (string, bool) {
+	rev, dirty := "unknown", false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+	}
+	return rev, dirty
+}
+
 func recordHHashBench(path string) error {
-	const primeBits = 48
 	const preds = 4
+	rev, dirty := buildRevision()
 	report := hhashReport{
 		Benchmark:   "hhash",
+		Revision:    rev,
+		Dirty:       dirty,
 		NumCPU:      runtime.NumCPU(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		PrimeBits:   primeBits,
+		Repeats:     hhashRepeats,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 	for _, modBits := range []int{128, 256, 512} {
-		h, atts, rems, ack, err := cryptoBench(modBits, primeBits, preds)
+		h, atts, rems, ack, err := cryptoBench(modBits, modBits, preds)
 		if err != nil {
 			return fmt.Errorf("hhash bench setup at %d bits: %w", modBits, err)
 		}
@@ -117,6 +160,15 @@ func recordHHashBench(path string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := h.MultiExp(atts, exps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		record(&report, "prime_gen", modBits, 0, func(b *testing.B) {
+			rnd := rand.New(rand.NewSource(42))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := hhash.GeneratePrimeKey(rnd, modBits); err != nil {
 					b.Fatal(err)
 				}
 			}

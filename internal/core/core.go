@@ -253,10 +253,10 @@ type Config struct {
 	OnDeliver func(update.Update)
 	// Rand is the entropy source for primes (crypto/rand if nil).
 	Rand io.Reader
-	// DisablePrimePool generates exchange primes inline with
-	// crypto/rand.Prime's 20-round schedule instead of drawing from the
-	// node's pregeneration pool — the crypto-hot-path ablation used by the
-	// equivalence gate.
+	// DisablePrimePool generates exchange primes inline
+	// (hhash.GeneratePrimeKey, the same prime stream) instead of drawing
+	// from the node's pregeneration pool — the crypto-hot-path ablation
+	// used by the equivalence gate.
 	DisablePrimePool bool
 	// DisableBatchVerify checks each attestation hash with its own
 	// exponentiation instead of folding the exchange's checks into one

@@ -1,12 +1,10 @@
 package hhash
 
 // Fixed-modulus modular multiplication via Barrett reduction, built on
-// big.Int.Mul so every multiply runs through math/big's assembly kernels
-// (and its dedicated squaring path when both operands alias). A word-level
-// Montgomery CIOS loop in pure Go loses ~2-3x to those kernels per
-// multiply, which is why the multi-exponentiation ladder reduces with
-// Barrett instead: two extra half-size multiplies per reduction at
-// assembly speed beat an interleaved reduction at interpreter-loop speed.
+// big.Int.Mul so every multiply runs through math/big's assembly kernels.
+// It is the multi-exponentiation engine for EVEN moduli only, which the
+// word-level Montgomery engine of mont.go cannot take (Montgomery needs
+// gcd(m, 2^W) = 1); every odd modulus, the protocol's case, runs there.
 //
 // With mu = floor(2^(2k) / m) and k = bitlen(m), a product x < m^2 reduces
 // as q = ((x >> (k-1)) * mu) >> (k+1); r = x - q*m, with at most two

@@ -260,6 +260,107 @@ func TestPregenPrimeProperties(t *testing.T) {
 	}
 }
 
+// probablyPrimeOnly is the acceptance loop pregenPrime ran before the
+// prefilter: the same candidate construction, ProbablyPrime(1) alone.
+func probablyPrimeOnly(t testing.TB, rnd io.Reader, bits int) *big.Int {
+	t.Helper()
+	b := uint(bits % 8)
+	if b == 0 {
+		b = 8
+	}
+	buf := make([]byte, (bits+7)/8)
+	for {
+		if _, err := io.ReadFull(rnd, buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] &= uint8(int(1<<b) - 1)
+		if b >= 2 {
+			buf[0] |= 3 << (b - 2)
+		} else {
+			buf[0] |= 1
+			buf[1] |= 0x80
+		}
+		buf[len(buf)-1] |= 1
+		if p := new(big.Int).SetBytes(buf); p.ProbablyPrime(1) {
+			return p
+		}
+	}
+}
+
+// TestPrefilterKeepsPrimeStream: the sieve and the base-2 Fermat test in
+// front of ProbablyPrime(1) change no accepted prime and no stream offset.
+// At 8 bits every candidate is below the sieve bound, so the rule that
+// the sieve never rejects one of its own primes is exercised on each draw.
+func TestPrefilterKeepsPrimeStream(t *testing.T) {
+	const draws = 300
+	for _, bits := range []int{8, 17, 48, 128, 512} {
+		got := mrand.New(mrand.NewSource(int64(bits)))
+		ref := mrand.New(mrand.NewSource(int64(bits)))
+		for i := 0; i < draws; i++ {
+			k, err := pregenPrime(got, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := probablyPrimeOnly(t, ref, bits); k.e.Cmp(want) != 0 {
+				t.Fatalf("bits=%d draw %d: prefiltered stream gives %v, ProbablyPrime(1) alone %v",
+					bits, i, k.e, want)
+			}
+		}
+	}
+}
+
+// TestSieveKeepsItsPrimes: a sieve prime is never reported composite,
+// and any product of two of them always is.
+func TestSieveKeepsItsPrimes(t *testing.T) {
+	var primes []uint
+	for _, g := range sieveGroups {
+		for _, sp := range g.primes {
+			primes = append(primes, sp.q)
+		}
+	}
+	if len(primes) == 0 || primes[0] != 3 || primes[len(primes)-1] >= sieveBound {
+		t.Fatalf("sieve primes %v... do not span the odd primes below %d", primes[:1], sieveBound)
+	}
+	for i, q := range primes {
+		if sieveComposite([]big.Word{big.Word(q)}) {
+			t.Fatalf("sieve rejects its own prime %d", q)
+		}
+		r := primes[(i*7)%len(primes)]
+		if !sieveComposite([]big.Word{big.Word(q * r)}) {
+			t.Fatalf("sieve accepts %d·%d", q, r)
+		}
+		big2 := new(big.Int).Lsh(big.NewInt(int64(r)), 100)
+		big2.Add(big2, big.NewInt(int64(r))) // r·(2^100 + 1), two limbs
+		if !sieveComposite(big2.Bits()) {
+			t.Fatalf("sieve accepts multi-limb multiple of %d", r)
+		}
+	}
+}
+
+// TestGeneratePrimeKeyMatchesPool: the inline path a node takes without a
+// pool issues the pool's prime sequence for the same stream.
+func TestGeneratePrimeKeyMatchesPool(t *testing.T) {
+	const n = 40
+	pool, err := NewPrimePool(mrand.New(mrand.NewSource(73)), 128, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := mrand.New(mrand.NewSource(73))
+	for i := 0; i < n; i++ {
+		want, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GeneratePrimeKey(inline, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("draw %d: GeneratePrimeKey %v, pool %v", i, got.e, want.e)
+		}
+	}
+}
+
 // TestPrimePoolStreamOrder: the i-th Get returns the i-th prime of the
 // stream regardless of how background refills interleave — the property
 // the worker-count byte-identity gate rests on.

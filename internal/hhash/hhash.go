@@ -52,6 +52,13 @@ type Params struct {
 // GenerateParams creates a fresh modulus M = p·q of the given bit size from
 // two random primes and discards the factors. rnd may be nil to use
 // crypto/rand.Reader.
+//
+// The factors come from the fixed-bytes-per-candidate construction of
+// pregenPrime, accepted by its prefilter and then ProbablyPrime(20), so a
+// seeded rnd always yields the same modulus: processes that share a seed
+// hash under one M. (crypto/rand.Prime would not: it consumes a random
+// number of stream bytes.) Both factors have their top two bits set, so M
+// has exactly `bits` bits.
 func GenerateParams(rnd io.Reader, bits int) (Params, error) {
 	if rnd == nil {
 		rnd = rand.Reader
@@ -60,13 +67,15 @@ func GenerateParams(rnd io.Reader, bits int) (Params, error) {
 		return Params{}, fmt.Errorf("hhash: modulus size %d too small", bits)
 	}
 	half := bits / 2
-	p, err := rand.Prime(rnd, half)
+	p, err := randomPrime(rnd, half, 20)
 	if err != nil {
 		return Params{}, fmt.Errorf("hhash: generating modulus factor: %w", err)
 	}
-	q, err := rand.Prime(rnd, bits-half)
-	if err != nil {
-		return Params{}, fmt.Errorf("hhash: generating modulus factor: %w", err)
+	var q *big.Int
+	for q == nil || q.Cmp(p) == 0 {
+		if q, err = randomPrime(rnd, bits-half, 20); err != nil {
+			return Params{}, fmt.Errorf("hhash: generating modulus factor: %w", err)
+		}
 	}
 	return Params{m: new(big.Int).Mul(p, q)}, nil
 }
@@ -119,19 +128,14 @@ type Key struct {
 	e *big.Int
 }
 
-// GeneratePrimeKey draws a fresh prime exponent of the given bit size.
+// GeneratePrimeKey draws a fresh prime exponent of the given bit size:
+// the next prime of the stream rnd (crypto/rand.Reader when nil), the
+// same one a PrimePool over rnd would return.
 func GeneratePrimeKey(rnd io.Reader, bits int) (Key, error) {
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	if bits < 8 {
-		return Key{}, fmt.Errorf("hhash: prime size %d too small", bits)
-	}
-	p, err := rand.Prime(rnd, bits)
-	if err != nil {
-		return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
-	}
-	return Key{e: p}, nil
+	return pregenPrime(rnd, bits)
 }
 
 // KeyFromInt builds a key from an explicit positive exponent.
@@ -236,8 +240,8 @@ func (c *Counter) Reset() {
 // counts to an optional per-node Counter.
 //
 // A Hasher is NOT safe for concurrent use: it carries per-instance
-// scratch state (the Embed buffer and the Montgomery context of
-// MultiExp). Protocol nodes serialise all entry points under their own
+// scratch state (the Embed buffer and the Montgomery context of Lift
+// and MultiExp). Protocol nodes serialise all entry points under their own
 // mutex, which covers the monitor role sharing the node's hasher.
 type Hasher struct {
 	params Params
@@ -259,9 +263,9 @@ type Hasher struct {
 	// residue would pin an update-sized backing array.
 	embedScratch big.Int
 
-	// multi is the lazily-built fixed-modulus engine of MultiExp (nil for
-	// degenerate moduli — multiBuilt distinguishes "not yet built" from
-	// "unbuildable").
+	// multi is the lazily-built fixed-modulus engine of MultiExp and, when
+	// it is a *montCtx, of Lift (nil for degenerate moduli — multiBuilt
+	// distinguishes "not yet built" from "unbuildable").
 	multi      multiExper
 	multiBuilt bool
 }
@@ -313,7 +317,13 @@ func (h *Hasher) Lift(v *big.Int, key Key) *big.Int {
 		h.ops.hashOps.Add(1)
 	}
 	span := h.liftSpans.SpanStart()
-	out := new(big.Int).Exp(v, key.e, h.params.m)
+	var out *big.Int
+	if mc, ok := h.multiCtx().(*montCtx); ok {
+		out = mc.exp(v, key.e)
+	} else {
+		// Even or degenerate modulus: no Montgomery context exists.
+		out = new(big.Int).Exp(v, key.e, h.params.m)
+	}
 	h.liftSpans.SpanEnd(span)
 	return out
 }

@@ -40,6 +40,28 @@ func TestGenerateParamsSize(t *testing.T) {
 	}
 }
 
+// TestGenerateParamsDeterministic: a seeded call yields one modulus, run
+// after run, so processes sharing a seed hash under the same M.
+func TestGenerateParamsDeterministic(t *testing.T) {
+	for _, bits := range []int{128, 512} {
+		var first *big.Int
+		for i := 0; i < 8; i++ {
+			p, err := GenerateParams(rand.New(rand.NewSource(11)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = p.Modulus()
+			} else if p.Modulus().Cmp(first) != 0 {
+				t.Fatalf("bits=%d call %d: modulus %v, first call %v", bits, i, p.Modulus(), first)
+			}
+		}
+		if first.BitLen() != bits {
+			t.Errorf("bits=%d: modulus has %d bits", bits, first.BitLen())
+		}
+	}
+}
+
 func TestGenerateParamsTooSmall(t *testing.T) {
 	if _, err := GenerateParams(nil, 4); err == nil {
 		t.Fatal("expected error for tiny modulus")

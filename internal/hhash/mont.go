@@ -1,15 +1,18 @@
 package hhash
 
-// Word-level Montgomery multiplication for odd moduli, used by the
-// multi-exponentiation ladder. The loop is the fused CIOS variant (FIOS):
+// Word-level Montgomery arithmetic for odd moduli. It runs every
+// exponentiation under an odd modulus: the multi-exponentiation ladder of
+// verification, the single-base exponentiation of Lift, and the base-2
+// Fermat step of prime generation. The loop is the fused CIOS variant (FIOS):
 // the a·b[i] accumulation and the u·m reduction run in ONE pass over the
 // accumulator per outer word, so t is loaded and stored once per step
 // instead of twice. math/big's assembly kernels are not reachable from
 // outside the standard library; a fused pure-Go loop over math/bits
 // intrinsics (one MUL + ADC chain per limb pair) is the closest
-// substitute, and for the fixed 512-bit production modulus the k=8
-// specialization below runs with constant loop bounds and a stack-array
-// accumulator, which eliminates every bounds check on the hot path.
+// substitute. For the paper's 512-bit modulus and the session's default
+// 128-bit one, the k=8 and k=2 specializations below run with constant
+// loop bounds and register accumulators, which eliminates every bounds
+// check on the hot path.
 
 import (
 	"math/big"
@@ -22,8 +25,15 @@ type montCtx struct {
 	k     int
 	n0inv uint   // -m⁻¹ mod 2^W
 	one   []uint // R mod m (Montgomery 1)
+	unit  []uint // plain 1: multiplying by it leaves the Montgomery domain
 	rr    []uint // R² mod m (to-Montgomery factor)
 	t     []uint // generic-path accumulator, len k+1
+
+	// scratch holds exp's window table and accumulator and fermat2's
+	// accumulator, grown on first use; pow, quo and rem are setModulus's
+	// R mod m division and exp's base reduction.
+	scratch       []uint
+	pow, quo, rem big.Int
 }
 
 // newMontCtx builds the context; nil when the modulus is even or trivial
@@ -32,70 +42,90 @@ func newMontCtx(mod *big.Int) *montCtx {
 	if mod == nil || mod.BitLen() < 2 || mod.Bit(0) == 0 {
 		return nil
 	}
-	words := mod.Bits()
-	k := len(words)
-	m := make([]uint, k)
-	for i, w := range words {
-		m[i] = uint(w)
-	}
-	// n0inv by Newton iteration: each step doubles the valid low bits.
-	inv := m[0]
-	for i := 0; i < 6; i++ {
-		inv *= 2 - m[0]*inv
-	}
-	c := &montCtx{mod: mod, m: m, k: k, n0inv: -inv, t: make([]uint, k+1)}
-	r := new(big.Int).Lsh(_one, uint(k)*_W)
-	c.one = c.limbsOf(new(big.Int).Mod(r, mod))
-	c.rr = c.limbsOf(new(big.Int).Mod(new(big.Int).Mul(r, r), mod))
+	c := new(montCtx)
+	c.setModulus(mod) // leaves R in c.pow
+	c.rr = limbsInto(make([]uint, c.k), new(big.Int).Mod(new(big.Int).Mul(&c.pow, &c.pow), mod))
 	return c
 }
 
-// limbsOf zero-pads v (which must be < m) to k limbs.
-func (c *montCtx) limbsOf(v *big.Int) []uint {
-	out := make([]uint, c.k)
-	for i, w := range v.Bits() {
-		out[i] = uint(w)
+// setModulus loads the odd modulus mod (bit length ≥ 2) into c, reusing
+// c's buffers, and computes everything but rr: the base-2 Fermat test of
+// prime generation runs one context over many candidates and never
+// converts an arbitrary value into the Montgomery domain.
+func (c *montCtx) setModulus(mod *big.Int) {
+	words := mod.Bits()
+	k := len(words)
+	c.mod, c.k = mod, k
+	c.m = resize(c.m, k)
+	for i, w := range words {
+		c.m[i] = uint(w)
 	}
-	return out
+	c.n0inv = -wordInverse(c.m[0])
+	c.t = resize(c.t, k+1)
+	c.unit = resize(c.unit, k)
+	clear(c.unit)
+	c.unit[0] = 1
+	c.pow.SetBit(c.pow.SetUint64(0), k*_W, 1)
+	c.quo.QuoRem(&c.pow, mod, &c.rem)
+	c.one = limbsInto(resize(c.one, k), &c.rem)
+}
+
+// wordInverse returns x⁻¹ mod 2^W for odd x, by Newton iteration: each
+// step doubles the number of valid low bits.
+func wordInverse(x uint) uint {
+	inv := x
+	for i := 0; i < 6; i++ {
+		inv *= 2 - x*inv
+	}
+	return inv
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize(s []uint, n int) []uint {
+	if cap(s) < n {
+		return make([]uint, n)
+	}
+	return s[:n]
+}
+
+// limbsInto writes v (which must be < m) into dst, zero-padded.
+func limbsInto(dst []uint, v *big.Int) []uint {
+	clear(dst)
+	for i, w := range v.Bits() {
+		dst[i] = uint(w)
+	}
+	return dst
 }
 
 // toInt converts k limbs back to a big.Int.
 func (c *montCtx) toInt(a []uint) *big.Int {
 	words := make([]big.Word, len(a))
-	n := 0
 	for i, w := range a {
 		words[i] = big.Word(w)
-		if w != 0 {
-			n = i + 1
-		}
 	}
-	return new(big.Int).SetBits(words[:n])
+	return new(big.Int).SetBits(words)
 }
 
 // toMont sets dst = v·R mod m for v < m.
 func (c *montCtx) toMont(dst []uint, v *big.Int) {
-	c.mul(dst, c.limbsOf(v), c.rr)
+	c.mul(dst, limbsInto(dst, v), c.rr)
 }
 
-// fromMont converts a Montgomery-form value back to a plain residue.
+// fromMont converts a Montgomery-form value back to a plain residue. It
+// overwrites a.
 func (c *montCtx) fromMont(a []uint) *big.Int {
-	out := make([]uint, c.k)
-	c.mul(out, a, c.one4())
-	return c.toInt(out)
-}
-
-// one4 returns the plain-domain 1-vector (multiplying by it performs the
-// R⁻¹ Montgomery step that leaves the plain residue).
-func (c *montCtx) one4() []uint {
-	v := make([]uint, c.k)
-	v[0] = 1
-	return v
+	c.mul(a, a, c.unit)
+	return c.toInt(a)
 }
 
 // mul sets dst = a·b·R⁻¹ mod m. dst, a, b are k-limb; dst may alias a
 // and/or b.
 func (c *montCtx) mul(dst, a, b []uint) {
-	if c.k == 8 && len(a) >= 8 && len(b) >= 8 && len(dst) >= 8 {
+	switch c.k {
+	case 2:
+		mul2(dst, a, b, c.m, c.n0inv)
+		return
+	case 8:
 		mul8(dst, a, b, c.m, c.n0inv)
 		return
 	}
@@ -285,6 +315,133 @@ func mul8(dst, a, b, mod []uint, n0inv uint) {
 	dp[7], borrow = bits.Sub(t7, m7, borrow)
 }
 
+// mul2 is the 128-bit (k=2) kernel, for the session's default modulus.
+// Unlike the CIOS loops it forms the full four-word product T first and
+// then reduces it (separated operand scanning), which keeps every carry
+// chain a straight run of adds; a square (a == b) takes three products
+// instead of four.
+func mul2(dst, a, b, mod []uint, n0inv uint) {
+	ap := (*[2]uint)(a)
+	bp := (*[2]uint)(b)
+	mp := (*[2]uint)(mod)
+	a0, a1 := ap[0], ap[1]
+	b0, b1 := bp[0], bp[1]
+	m0, m1 := mp[0], mp[1]
+	var t0, t1, t2, t3, c uint
+	if ap == bp {
+		h00, l00 := bits.Mul(a0, a0)
+		h01, l01 := bits.Mul(a0, a1)
+		h11, l11 := bits.Mul(a1, a1)
+		t0 = l00
+		t1, c = bits.Add(h00, l01<<1, 0)
+		t2, c = bits.Add(l11, h01<<1|l01>>(_W-1), c)
+		t3 = h11 + h01>>(_W-1) + c
+	} else {
+		h00, l00 := bits.Mul(a0, b0)
+		h01, l01 := bits.Mul(a0, b1)
+		h10, l10 := bits.Mul(a1, b0)
+		h11, l11 := bits.Mul(a1, b1)
+		t0 = l00
+		t1, c = bits.Add(h00, l01, 0)
+		t2, c = bits.Add(h01, l11, c)
+		t3 = h11 + c
+		t1, c = bits.Add(t1, l10, 0)
+		t2, c = bits.Add(t2, h10, c)
+		t3 += c
+	}
+
+	// T = t3:t2:t1:t0 < m². Each step adds u·m·W^i, which clears word i;
+	// the top half, below 2m, needs at most one subtraction.
+	u := t0 * n0inv
+	hi0, p0 := bits.Mul(u, m0)
+	hi1, p1 := bits.Mul(u, m1)
+	p1, c = bits.Add(p1, hi0, 0)
+	p2 := hi1 + c
+	_, c = bits.Add(t0, p0, 0)
+	t1, c = bits.Add(t1, p1, c)
+	t2, c = bits.Add(t2, p2, c)
+	t3, t4 := bits.Add(t3, 0, c)
+
+	u = t1 * n0inv
+	hi0, p0 = bits.Mul(u, m0)
+	hi1, p1 = bits.Mul(u, m1)
+	p1, c = bits.Add(p1, hi0, 0)
+	p2 = hi1 + c
+	_, c = bits.Add(t1, p0, 0)
+	t2, c = bits.Add(t2, p1, c)
+	t3, c = bits.Add(t3, p2, c)
+	t4 += c
+
+	dp := (*[2]uint)(dst)
+	if t4 == 0 && (t3 < m1 || t3 == m1 && t2 < m0) {
+		dp[0], dp[1] = t2, t3
+		return
+	}
+	var borrow uint
+	dp[0], borrow = bits.Sub(t2, m0, 0)
+	dp[1], _ = bits.Sub(t3, m1, borrow)
+}
+
+// double sets a = 2a mod m for a < m.
+func (c *montCtx) double(a []uint) {
+	var carry uint
+	for j, w := range a {
+		a[j] = w<<1 | carry
+		carry = w >> (_W - 1)
+	}
+	if carry != 0 || !limbsLess(a, c.m) {
+		var borrow uint
+		for j := range a {
+			a[j], borrow = bits.Sub(a[j], c.m[j], borrow)
+		}
+	}
+}
+
+// scratchLimbs returns c's scratch with length n, grown on first use.
+func (c *montCtx) scratchLimbs(n int) []uint {
+	c.scratch = resize(c.scratch, n)
+	return c.scratch
+}
+
+// exp returns v^e mod m for e ≥ 0: a fixed-window left-to-right
+// exponentiation in the Montgomery domain, with the window table and the
+// accumulator in c's scratch, so a call allocates only its result. v may
+// lie outside [0, m).
+func (c *montCtx) exp(v, e *big.Int) *big.Int {
+	nbits := e.BitLen()
+	if nbits == 0 {
+		return new(big.Int).Set(_one)
+	}
+	if v.Sign() < 0 || v.Cmp(c.mod) >= 0 {
+		v = c.rem.Mod(v, c.mod)
+	}
+	k := c.k
+	w := multiExpWindow(nbits)
+	tsize := 1 << w
+	ws := c.scratchLimbs(tsize * k)
+	// tbl(d) holds v^d in Montgomery form for d = 1..2^w-1; the last k
+	// limbs are the accumulator.
+	tbl := func(d int) []uint { return ws[(d-1)*k : d*k] }
+	acc := ws[(tsize-1)*k:]
+	c.toMont(tbl(1), v)
+	for d := 2; d < tsize; d++ {
+		c.mul(tbl(d), tbl(d-1), tbl(1))
+	}
+	words := e.Bits()
+	nw := (nbits + w - 1) / w
+	// The top window holds e's top bit, so its digit is never zero.
+	copy(acc, tbl(int(windowDigit(words, (nw-1)*w, w))))
+	for pos := nw - 2; pos >= 0; pos-- {
+		for s := 0; s < w; s++ {
+			c.mul(acc, acc, acc)
+		}
+		if d := windowDigit(words, pos*w, w); d != 0 {
+			c.mul(acc, acc, tbl(int(d)))
+		}
+	}
+	return c.fromMont(acc)
+}
+
 // limbsLess reports a < b for equal-length limb slices.
 func limbsLess(a, b []uint) bool {
 	for j := len(a) - 1; j >= 0; j-- {
@@ -319,11 +476,10 @@ func (c *montCtx) multiExp(bases, exps []*big.Int) *big.Int {
 		off := (i*(tsize-1) + d - 1) * k
 		return arena[off : off+k]
 	}
-	red := new(big.Int)
 	for i, b := range bases {
 		v := b
 		if v.Sign() < 0 || v.Cmp(c.mod) >= 0 {
-			v = red.Mod(b, c.mod)
+			v = c.rem.Mod(b, c.mod)
 		}
 		c.toMont(tbl(i, 1), v)
 		for d := 2; d < tsize; d++ {

@@ -1,17 +1,17 @@
 package hhash
 
-// Prime pregeneration: PAG mints one fresh prime exponent per exchange
-// (message 2 of Fig 5), which profiling shows is ~40% of a node's round
-// CPU when generated inline with crypto/rand.Prime. PrimePool moves the
-// generation off the exchange's critical path and pregenPrime cuts the
-// primality-testing schedule from 20 Miller-Rabin rounds to a
-// Baillie-PSW-grade test, which is where the bulk of the cost sits.
+// Prime generation: PAG mints one fresh prime exponent per exchange
+// (message 2 of Fig 5). pregenPrime draws the candidates; a prefilter
+// rejects most composites before the unchanged math/big test sees them,
+// and PrimePool moves the generation off the exchange's critical path.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -21,29 +21,54 @@ import (
 // bits and the low bit are forced, which is what keeps every prime (and
 // every product of j primes) at a fixed encoded byte length; the wire
 // format and therefore the report byte-identity depend on that length
-// stability. It differs from crypto/rand.Prime in the acceptance test:
-// ProbablyPrime(1) — one random-base Miller-Rabin round plus a
-// Baillie-PSW Lucas test — instead of ProbablyPrime(20). BPSW has no
-// known composite passing it, and the exponents here are ephemeral
-// per-exchange keys (the homomorphic identities hold for any exponent;
-// primality only backs the coprimality argument), so the reduced
-// schedule trades nothing observable for a >2× generation speedup.
-// Unlike crypto/rand.Prime it also consumes a deterministic number of
-// stream bytes per candidate (no randutil.MaybeReadByte), so a seeded
-// rnd yields a reproducible prime sequence.
+// stability. It differs from crypto/rand.Prime in two ways. Each
+// candidate consumes exactly (bits+7)/8 stream bytes (no
+// randutil.MaybeReadByte), so a seeded rnd yields a reproducible prime
+// sequence. And a candidate is accepted by ProbablyPrime(1) — one
+// random-base Miller-Rabin round, the base-2 round and a Lucas test, so
+// a Baillie-PSW test — instead of ProbablyPrime(20): no composite is known
+// to pass Baillie-PSW, and the exponents are ephemeral per-exchange keys
+// (the homomorphic identities hold for any exponent; primality only backs
+// the coprimality argument).
+//
+// Before ProbablyPrime, which reseeds a math/rand source on every call,
+// each candidate meets the prefilter of randomPrime, which rejects only
+// composites that ProbablyPrime(1) rejects too, so the prime sequence is
+// the one ProbablyPrime(1) alone would accept.
 func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 	if bits < 8 {
 		return Key{}, fmt.Errorf("hhash: prime size %d too small", bits)
 	}
+	p, err := randomPrime(rnd, bits, 1)
+	if err != nil {
+		return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
+	}
+	return Key{e: p}, nil
+}
+
+// randomPrime draws candidates of exactly `bits` (≥ 8) bits from rnd, a
+// fixed (bits+7)/8 bytes each, and returns the first that passes the
+// prefilter and then ProbablyPrime(reps). The prefilter runs two steps:
+//
+//  1. A trial division by the odd primes below sieveBound, grouped into
+//     word-sized products (sieveComposite). A candidate with a small
+//     factor other than itself is composite, and ProbablyPrime rejects
+//     every composite that is not a Baillie-PSW pseudoprime, of which
+//     none is known (and none exists below 2^64).
+//  2. A base-2 Fermat test on the Montgomery engine. A composite n with
+//     2^(n-1) ≢ 1 (mod n) is not a base-2 strong probable prime either,
+//     and ProbablyPrime always runs the base-2 Miller-Rabin round.
+func randomPrime(rnd io.Reader, bits, reps int) (*big.Int, error) {
 	b := uint(bits % 8)
 	if b == 0 {
 		b = 8
 	}
 	buf := make([]byte, (bits+7)/8)
 	p := new(big.Int)
+	var mc montCtx
 	for {
 		if _, err := io.ReadFull(rnd, buf); err != nil {
-			return Key{}, fmt.Errorf("hhash: generating prime key: %w", err)
+			return nil, err
 		}
 		buf[0] &= uint8(int(1<<b) - 1)
 		if b >= 2 {
@@ -55,10 +80,95 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 		}
 		buf[len(buf)-1] |= 1
 		p.SetBytes(buf)
-		if p.ProbablyPrime(1) {
-			return Key{e: p}, nil
+		if sieveComposite(p.Bits()) {
+			continue
+		}
+		mc.setModulus(p)
+		if !mc.fermat2() {
+			continue
+		}
+		if p.ProbablyPrime(reps) {
+			return p, nil
 		}
 	}
+}
+
+// sieveBound bounds the trial-division primes of the prefilter.
+const sieveBound = 1 << 12
+
+// sievePrime is one odd trial-division prime q with its divisibility
+// constants: r is a multiple of q iff r·inv mod 2^W ≤ lim, with
+// inv = q⁻¹ mod 2^W and lim = ⌊(2^W-1)/q⌋.
+type sievePrime struct{ q, inv, lim uint }
+
+// sieveGroup is a run of consecutive sieve primes whose product fits in
+// one word, so a candidate reduces modulo all of them in one pass.
+type sieveGroup struct {
+	prod   uint
+	primes []sievePrime
+}
+
+var sieveGroups = buildSieve(sieveBound)
+
+// buildSieve groups the odd primes below bound into word-sized products.
+func buildSieve(bound int) []sieveGroup {
+	composite := make([]bool, bound)
+	var groups []sieveGroup
+	for q := 3; q < bound; q += 2 {
+		if composite[q] {
+			continue
+		}
+		for j := q * q; j < bound; j += 2 * q {
+			composite[j] = true
+		}
+		sp := sievePrime{q: uint(q), inv: wordInverse(uint(q)), lim: ^uint(0) / uint(q)}
+		if n := len(groups); n > 0 {
+			if hi, lo := bits.Mul(groups[n-1].prod, uint(q)); hi == 0 {
+				groups[n-1].prod = lo
+				groups[n-1].primes = append(groups[n-1].primes, sp)
+				continue
+			}
+		}
+		groups = append(groups, sieveGroup{prod: uint(q), primes: []sievePrime{sp}})
+	}
+	return groups
+}
+
+// sieveComposite reports whether the odd number with little-endian limbs
+// words has a sieve prime as a proper factor. It never rejects a sieve
+// prime itself.
+func sieveComposite(words []big.Word) bool {
+	single := len(words) == 1
+	for _, g := range sieveGroups {
+		var r uint
+		for i := len(words) - 1; i >= 0; i-- {
+			_, r = bits.Div(r, uint(words[i]), g.prod)
+		}
+		for _, sp := range g.primes {
+			if r*sp.inv <= sp.lim && !(single && uint(words[0]) == sp.q) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// fermat2 reports whether 2^(m-1) ≡ 1 (mod m) for c's modulus m: the
+// base-2 Fermat test. It runs left to right over the bits of m-1, which
+// are m's with bit 0 cleared, and applies the base 2 as a modular
+// doubling instead of a table multiply.
+func (c *montCtx) fermat2() bool {
+	acc := c.scratchLimbs(c.k)
+	copy(acc, c.one)
+	c.double(acc) // the top bit of m-1: acc = 2 in Montgomery form
+	for i := c.mod.BitLen() - 2; i >= 1; i-- {
+		c.mul(acc, acc, acc)
+		if c.m[i/_W]>>(uint(i)%_W)&1 == 1 {
+			c.double(acc)
+		}
+	}
+	c.mul(acc, acc, acc) // bit 0 of m-1 is clear
+	return slices.Equal(acc, c.one)
 }
 
 // PrimePool pregenerates prime exponents from a single entropy stream.

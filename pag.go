@@ -131,10 +131,9 @@ type SessionConfig struct {
 	// handover off — the pre-handover protocol, kept as an ablation so
 	// the rotation-gap exploit stays demonstrable in tests.
 	DisableObligationHandover bool
-	// DisablePrimePool generates exchange primes inline with the full
-	// 20-round Miller-Rabin schedule instead of each node's background
-	// pregeneration pool — the crypto-hot-path ablation the equivalence
-	// gate runs against.
+	// DisablePrimePool generates exchange primes inline, from the same
+	// prime stream, instead of each node's background pregeneration pool —
+	// the crypto-hot-path ablation the equivalence gate runs against.
 	DisablePrimePool bool
 	// DisableBatchVerify verifies each attestation hash with its own
 	// exponentiation instead of one coefficient-weighted folded equation.
