@@ -3,7 +3,7 @@ package main
 // Crypto microbenchmark recorder: -hhash <path> times the homomorphic
 // hash hot paths (lift, multi-exp verification, prime generation) with
 // testing.Benchmark at prime bits equal to modulus bits, the session
-// default, and records the median µs/op of hhashRepeats runs with its
+// default, and records the median µs/op of benchRepeats runs with its
 // quartiles, allocs/op, the core count and the git revision, so an
 // optimisation's effect is an artifact of the repository rather than a
 // claim in a commit message. Build the tool with go build from a clean
@@ -24,9 +24,10 @@ import (
 	"repro/internal/hhash"
 )
 
-// hhashRepeats is how many times each operation is timed; a row records
-// the median and the quartiles.
-const hhashRepeats = 5
+// benchRepeats is how many times each -hhash operation and each
+// -transport session is timed; a row records the median and the
+// quartiles (medianIQR).
+const benchRepeats = 5
 
 // hhashResult is one (operation, modulus size) measurement.
 type hhashResult struct {
@@ -81,23 +82,30 @@ func cryptoBench(modBits, primeBits, preds int) (*hhash.Hasher, []*big.Int, []hh
 	return h, atts, rems, ack, nil
 }
 
-// record times fn hhashRepeats times and appends the median row.
+// medianIQR sorts xs in place and returns its median and quartiles.
+func medianIQR(xs []float64) (float64, [2]float64) {
+	sort.Float64s(xs)
+	n := len(xs)
+	return xs[n/2], [2]float64{xs[n/4], xs[(3*n)/4]}
+}
+
+// record times fn benchRepeats times and appends the median row.
 func record(report *hhashReport, op string, modBits, preds int, fn func(b *testing.B)) {
-	us := make([]float64, hhashRepeats)
+	us := make([]float64, benchRepeats)
 	var allocs int64
 	for i := range us {
 		r := testing.Benchmark(fn)
 		us[i] = float64(r.NsPerOp()) / 1e3
 		allocs = r.AllocsPerOp()
 	}
-	sort.Float64s(us)
+	med, iqr := medianIQR(us)
 	report.Results = append(report.Results, hhashResult{
 		Op:          op,
 		ModulusBits: modBits,
 		PrimeBits:   modBits,
 		Preds:       preds,
-		MicrosPerOp: us[len(us)/2],
-		MicrosIQR:   [2]float64{us[len(us)/4], us[(3*len(us))/4]},
+		MicrosPerOp: med,
+		MicrosIQR:   iqr,
 		AllocsPerOp: allocs,
 	})
 }
@@ -128,7 +136,7 @@ func recordHHashBench(path string) error {
 		Dirty:       dirty,
 		NumCPU:      runtime.NumCPU(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Repeats:     hhashRepeats,
+		Repeats:     benchRepeats,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 	for _, modBits := range []int{128, 256, 512} {

@@ -125,7 +125,7 @@ func run() int {
 		memprofile    = flag.String("memprofile", "", "write a heap profile (after the runs) to this path")
 		scaleMode     = flag.Bool("scale", false, "record the Fig 9 scaling artifact (BENCH_scale.json) instead of the engine comparison")
 		scaleOut      = flag.String("scaleout", "BENCH_scale.json", "output path for -scale ('-' for stdout only)")
-		transportMode = flag.Bool("transport", false, "record the wire-speed artifact (BENCH_transport.json): mem vs tcp vs udp rounds/s and bytes/syscall at N=144 and N=432")
+		transportMode = flag.Bool("transport", false, "record the wire-speed artifact (BENCH_transport.json): mem vs tcp rounds/s (median of repeats) and bytes/syscall at N=144 and N=432")
 		transportOut  = flag.String("transportout", "BENCH_transport.json", "output path for -transport ('-' for stdout only)")
 		short         = flag.Bool("short", false, "CI smoke: with -scale, N=1296 budget + cohort identity; with -transport, batching invariants + artifact validation; writes no artifact")
 	)

@@ -2,11 +2,12 @@ package main
 
 // The -transport mode: the wire-speed artifact. The same session (same
 // seed, same scenario-free steady state) runs over the deterministic
-// in-memory network, real loopback TCP sockets, and loopback UDP
-// datagrams, and BENCH_transport.json records each transport's measured
-// rounds/s plus the socket transports' wire truth (frames, syscalls,
-// bytes — transport.IOStats, counted at the write/read calls, not the
-// HeaderBytes accounting model). The headline is the batching economy:
+// in-memory network and real loopback TCP sockets, benchRepeats times
+// each with the transports interleaved, and BENCH_transport.json records
+// each transport's median rounds/s with its quartiles plus the socket
+// transport's wire truth (frames, syscalls, bytes — transport.IOStats,
+// counted at the write/read calls, not the HeaderBytes accounting model)
+// from the median session. The headline is the batching economy:
 // bytes-per-syscall and frames-per-syscall, and whether the N=432 TCP
 // session holds within transportTargetRatio of MemNet. A run that
 // misses the target still records — with a machine-readable caveat
@@ -39,14 +40,20 @@ const (
 	transportSmokeNodes = 36
 )
 
-// transportRun is one (transport, size) measurement.
+// transportKinds are the transports every size is measured on.
+var transportKinds = []string{"mem", "tcp"}
+
+// transportRun is one (transport, size) measurement. In the artifact it
+// is the median session of benchRepeats: RoundsPerSec is the median and
+// RoundsPerSecIQR the quartiles across the repeats.
 type transportRun struct {
-	Transport    string  `json:"transport"`
-	Nodes        int     `json:"nodes"`
-	Rounds       int     `json:"rounds"`
-	Seconds      float64 `json:"seconds"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	Continuity   float64 `json:"continuity"`
+	Transport       string     `json:"transport"`
+	Nodes           int        `json:"nodes"`
+	Rounds          int        `json:"rounds"`
+	Seconds         float64    `json:"seconds"`
+	RoundsPerSec    float64    `json:"rounds_per_sec"`
+	RoundsPerSecIQR [2]float64 `json:"rounds_per_sec_iqr"`
+	Continuity      float64    `json:"continuity"`
 	// Wire counters over the measured window (absent for mem: the
 	// in-memory transport performs no I/O).
 	FramesOut      uint64  `json:"frames_out,omitempty"`
@@ -56,21 +63,19 @@ type transportRun struct {
 	BytesOut       uint64  `json:"bytes_out,omitempty"`
 	BytesIn        uint64  `json:"bytes_in,omitempty"`
 	JumboFrames    uint64  `json:"jumbo_frames,omitempty"`
-	Retransmits    uint64  `json:"retransmits,omitempty"`
 	BytesPerWrite  float64 `json:"bytes_per_syscall,omitempty"`
 	FramesPerWrite float64 `json:"frames_per_syscall,omitempty"`
 	WritesPerRound float64 `json:"writes_per_round,omitempty"`
 }
 
-// transportSize groups one system size's three transports and the
-// mem-vs-tcp verdict.
+// transportSize groups one system size's transports and the mem-vs-tcp
+// verdict.
 type transportSize struct {
 	Nodes int            `json:"nodes"`
 	Runs  []transportRun `json:"runs"`
-	// TCPSlowdown is mem rounds/s over tcp rounds/s (1.0 = parity;
-	// within the target when <= tcp_target_ratio).
+	// TCPSlowdown is median mem rounds/s over median tcp rounds/s (1.0 =
+	// parity; within the target when <= tcp_target_ratio).
 	TCPSlowdown float64 `json:"tcp_vs_mem_ratio"`
-	UDPSlowdown float64 `json:"udp_vs_mem_ratio"`
 	TargetRatio float64 `json:"tcp_target_ratio"`
 	TCPWithin   bool    `json:"tcp_within_target"`
 	// Caveat is the machine-readable miss record: set iff TCPWithin is
@@ -81,8 +86,11 @@ type transportSize struct {
 // transportReport is the BENCH_transport.json schema.
 type transportReport struct {
 	Benchmark   string          `json:"benchmark"`
+	Revision    string          `json:"revision"`
+	Dirty       bool            `json:"dirty"`
 	NumCPU      int             `json:"num_cpu"`
 	GoMaxProcs  int             `json:"gomaxprocs"`
+	Repeats     int             `json:"repeats"`
 	Rounds      int             `json:"rounds"`
 	Warmup      int             `json:"warmup_rounds"`
 	StreamKbps  int             `json:"stream_kbps"`
@@ -116,14 +124,6 @@ func timeTransport(kind string, nodes, stream, modBits int, seed uint64, warmup,
 			tn.SetStepped(5 * time.Second)
 			stats = tn.IOStats
 			return tn
-		}
-	case "udp":
-		cfg.NewNetwork = func() transport.FaultyNetwork {
-			un := transport.NewUDPNet(nil)
-			un.SetDynamic("127.0.0.1")
-			un.SetStepped(5 * time.Second)
-			stats = un.IOStats
-			return un
 		}
 	default:
 		return transportRun{}, fmt.Errorf("unknown transport %q", kind)
@@ -160,7 +160,6 @@ func timeTransport(kind string, nodes, stream, modBits int, seed uint64, warmup,
 		run.BytesOut = after.BytesOut - before.BytesOut
 		run.BytesIn = after.BytesIn - before.BytesIn
 		run.JumboFrames = after.Jumbo - before.Jumbo
-		run.Retransmits = after.Retrans - before.Retrans
 		if run.Writes > 0 {
 			run.BytesPerWrite = float64(run.BytesOut) / float64(run.Writes)
 			run.FramesPerWrite = float64(run.FramesOut) / float64(run.Writes)
@@ -170,23 +169,41 @@ func timeTransport(kind string, nodes, stream, modBits int, seed uint64, warmup,
 	return run, nil
 }
 
-// benchTransportSize measures one size across all three transports.
+// benchTransportSize measures one size on every transport, benchRepeats
+// times each, interleaving the transports so drift on the host spreads
+// over both, and keeps each transport's median session.
 func benchTransportSize(nodes, stream, modBits int, seed uint64, warmup, rounds int) (transportSize, error) {
 	res := transportSize{Nodes: nodes, TargetRatio: transportTargetRatio}
-	byKind := map[string]transportRun{}
-	for _, kind := range []string{"mem", "tcp", "udp"} {
-		run, err := timeTransport(kind, nodes, stream, modBits, seed, warmup, rounds)
-		if err != nil {
-			return transportSize{}, fmt.Errorf("%s N=%d: %w", kind, nodes, err)
+	runs := map[string][]transportRun{}
+	for i := 0; i < benchRepeats; i++ {
+		for _, kind := range transportKinds {
+			run, err := timeTransport(kind, nodes, stream, modBits, seed, warmup, rounds)
+			if err != nil {
+				return transportSize{}, fmt.Errorf("%s N=%d: %w", kind, nodes, err)
+			}
+			runs[kind] = append(runs[kind], run)
+			fmt.Fprintf(os.Stderr,
+				"pag-bench: transport N=%-4d %-3s repeat %d: %6.3f rounds/s  continuity %.3f  %d writes (%0.f B/syscall, %.2f frames/syscall)\n",
+				nodes, kind, i+1, run.RoundsPerSec, run.Continuity, run.Writes, run.BytesPerWrite, run.FramesPerWrite)
 		}
-		res.Runs = append(res.Runs, run)
-		byKind[kind] = run
-		fmt.Fprintf(os.Stderr,
-			"pag-bench: transport N=%-4d %-3s %6.3f rounds/s  continuity %.3f  %d writes (%0.f B/syscall, %.2f frames/syscall)\n",
-			nodes, kind, run.RoundsPerSec, run.Continuity, run.Writes, run.BytesPerWrite, run.FramesPerWrite)
+	}
+	byKind := map[string]transportRun{}
+	for _, kind := range transportKinds {
+		rps := make([]float64, len(runs[kind]))
+		for i, run := range runs[kind] {
+			rps[i] = run.RoundsPerSec
+		}
+		med, iqr := medianIQR(rps)
+		for _, run := range runs[kind] {
+			if run.RoundsPerSec == med {
+				run.RoundsPerSecIQR = iqr
+				byKind[kind] = run
+				break
+			}
+		}
+		res.Runs = append(res.Runs, byKind[kind])
 	}
 	res.TCPSlowdown = byKind["mem"].RoundsPerSec / byKind["tcp"].RoundsPerSec
-	res.UDPSlowdown = byKind["mem"].RoundsPerSec / byKind["udp"].RoundsPerSec
 	res.TCPWithin = res.TCPSlowdown <= transportTargetRatio
 	if !res.TCPWithin {
 		res.Caveat = fmt.Sprintf(
@@ -197,17 +214,21 @@ func benchTransportSize(nodes, stream, modBits int, seed uint64, warmup, rounds 
 }
 
 // runTransportBench drives the -transport mode. With -short it runs the
-// CI smoke instead: a small session over all three transports asserting
-// the batching invariants, plus schema validation of the recorded
-// artifact; no artifact is written.
+// CI smoke instead: a small session per transport asserting the
+// batching invariants, plus schema validation of the recorded artifact;
+// no artifact is written.
 func runTransportBench(out string, stream, modBits int, seed uint64, auto, short bool) int {
 	if short {
 		return runTransportSmoke(out, stream, modBits, seed)
 	}
+	rev, dirty := buildRevision()
 	report := transportReport{
 		Benchmark:   "transport",
+		Revision:    rev,
+		Dirty:       dirty,
 		NumCPU:      runtime.NumCPU(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		Repeats:     benchRepeats,
 		Rounds:      transportRounds,
 		Warmup:      transportWarmup,
 		StreamKbps:  stream,
@@ -274,14 +295,14 @@ func transportTargetMet(r transportReport) bool {
 // runTransportSmoke is the CI gate (-transport -short): one small
 // session per transport, asserting the wire invariants the full bench
 // only reports — TCP must aggregate (strictly more frames than write
-// syscalls, at least one jumbo), UDP must deliver a playable stream
-// through its loss-tolerant path — and the recorded artifact must parse
-// with both sizes and all three transports present, each miss carrying
-// its machine-readable caveat. No artifact is written: a smoke box's
-// numbers never replace a recorded measurement.
+// syscalls, at least one jumbo) — and the recorded artifact must parse
+// with both sizes and every transport present, at least benchRepeats
+// repeats behind each median, and each miss carrying its machine-readable
+// caveat. No artifact is written: a smoke box's numbers never replace a
+// recorded measurement.
 func runTransportSmoke(out string, stream, modBits int, seed uint64) int {
 	const warmup, rounds = 12, 2
-	for _, kind := range []string{"mem", "tcp", "udp"} {
+	for _, kind := range transportKinds {
 		run, err := timeTransport(kind, transportSmokeNodes, stream, modBits, seed, warmup, rounds)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pag-bench: transport smoke %s: %v\n", kind, err)
@@ -290,21 +311,11 @@ func runTransportSmoke(out string, stream, modBits int, seed uint64) int {
 		fmt.Fprintf(os.Stderr,
 			"pag-bench: transport smoke %-3s N=%d: %.3f rounds/s, continuity %.3f, %d frames / %d writes (%d jumbo)\n",
 			kind, transportSmokeNodes, run.RoundsPerSec, run.Continuity, run.FramesOut, run.Writes, run.JumboFrames)
-		switch kind {
-		case "tcp":
-			if run.FramesOut <= run.Writes || run.JumboFrames == 0 {
-				fmt.Fprintf(os.Stderr,
-					"pag-bench: transport smoke FAILED: tcp did not batch (%d frames in %d writes, %d jumbo)\n",
-					run.FramesOut, run.Writes, run.JumboFrames)
-				return 1
-			}
-		case "udp":
-			if run.Continuity <= 0.5 {
-				fmt.Fprintf(os.Stderr,
-					"pag-bench: transport smoke FAILED: udp continuity %.3f — the loss-tolerant path is dropping the stream\n",
-					run.Continuity)
-				return 1
-			}
+		if kind == "tcp" && (run.FramesOut <= run.Writes || run.JumboFrames == 0) {
+			fmt.Fprintf(os.Stderr,
+				"pag-bench: transport smoke FAILED: tcp did not batch (%d frames in %d writes, %d jumbo)\n",
+				run.FramesOut, run.Writes, run.JumboFrames)
+			return 1
 		}
 	}
 	if out == "-" || out == "" {
@@ -320,6 +331,10 @@ func runTransportSmoke(out string, stream, modBits int, seed uint64) int {
 		fmt.Fprintf(os.Stderr, "pag-bench: transport smoke: %s does not parse: %v\n", out, err)
 		return 1
 	}
+	if rec.Repeats < benchRepeats {
+		fmt.Fprintf(os.Stderr, "pag-bench: transport smoke FAILED: %s records %d repeats, want >= %d\n", out, rec.Repeats, benchRepeats)
+		return 1
+	}
 	sizes := map[int]bool{}
 	for _, res := range rec.Results {
 		sizes[res.Nodes] = true
@@ -327,7 +342,7 @@ func runTransportSmoke(out string, stream, modBits int, seed uint64) int {
 		for _, run := range res.Runs {
 			kinds[run.Transport] = true
 		}
-		for _, k := range []string{"mem", "tcp", "udp"} {
+		for _, k := range transportKinds {
 			if !kinds[k] {
 				fmt.Fprintf(os.Stderr, "pag-bench: transport smoke FAILED: %s N=%d lacks a %q run\n", out, res.Nodes, k)
 				return 1

@@ -69,7 +69,6 @@ func run() int {
 		period  = flag.Duration("period", time.Second, "gossip period (round duration)")
 		seed    = flag.Uint64("seed", 1, "shared membership seed")
 		modBits = flag.Int("modulus", 128, "homomorphic modulus bits (512 for paper-faithful)")
-		netKind = flag.String("net", "tcp", "transport: tcp (reliable streams) or udp (loss-tolerant datagrams; the exchange and judicial traffic ride an ack/retransmit layer)")
 		scFlag  = flag.String("scenario", "", "scripted timeline: canned scenario name or JSON file (all processes must pass the same value)")
 		members = flag.Int("members", 0, "founding member count: the lowest ids of the roster (0 = all; the rest are standby joiners for the scenario)")
 		metrics = flag.String("metrics", "", "serve this process's live metrics on this address (Prometheus /metrics, JSON /metrics.json, pprof /debug/pprof/; port 0 picks one)")
@@ -123,7 +122,7 @@ func run() int {
 		}
 	}
 
-	if err := runNode(self, book, *rounds, *stream, *period, *seed, *modBits, sc, founding, *metrics, *traceF, *netKind); err != nil {
+	if err := runNode(self, book, *rounds, *stream, *period, *seed, *modBits, sc, founding, *metrics, *traceF); err != nil {
 		fmt.Fprintln(os.Stderr, "pag-node:", err)
 		return 1
 	}
@@ -156,7 +155,7 @@ func loadScenario(nameOrPath string, rosterSize, streamKbps int, seed uint64) (s
 // runNode assembles and drives one socket node to completion.
 func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps int,
 	period time.Duration, seed uint64, modBits int, sc *scenario.Scenario, founding int,
-	metricsAddr, traceFile, netKind string) error {
+	metricsAddr, traceFile string) error {
 	ids := make([]model.NodeID, 0, len(book))
 	for id := range book {
 		ids = append(ids, id)
@@ -225,15 +224,7 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 		return err
 	}
 
-	var net transport.FaultyNetwork
-	switch netKind {
-	case "tcp", "":
-		net = transport.NewTCPNet(book)
-	case "udp":
-		net = transport.NewUDPNet(book)
-	default:
-		return fmt.Errorf("unknown transport %q (tcp|udp)", netKind)
-	}
+	net := transport.NewTCPNet(book)
 	net.Faults().Instrument(reg, tr)
 	// The link queues' expiry deadline follows the deployment's playout
 	// window — the TTL its source streams with (NewSource defaults to
@@ -337,7 +328,7 @@ func runNode(self model.NodeID, book map[model.NodeID]string, rounds, streamKbps
 			}
 		}
 		fmt.Printf("[%v] scenario journal: %d events (%d failed), dropped %d on the wire (%d deferred by caps, %d expired queued)\n",
-			self, applied, failed, net.Dropped(), net.Faults().Deferred(), net.Faults().CapExpired())
+			self, applied, failed, net.Faults().Dropped(), net.Faults().Deferred(), net.Faults().CapExpired())
 	}
 	if d.node != nil {
 		st := d.node.Stats()

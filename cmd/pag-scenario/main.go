@@ -66,9 +66,8 @@ func main() {
 func run() int {
 	var (
 		scName    = flag.String("scenario", "", "canned scenario name (see -list)")
-		name      = flag.String("name", "", "alias of -scenario (kept for compatibility)")
 		file      = flag.String("file", "", "scenario JSON file (overrides -scenario)")
-		netKind   = flag.String("net", "mem", "transport: mem (deterministic in-memory), tcp (loopback sockets) or udp (loss-tolerant datagrams)")
+		netKind   = flag.String("net", "mem", "transport: mem (deterministic in-memory) or tcp (loopback sockets)")
 		protocols = flag.String("protocol", "all", "pag|acting|rac|all")
 		nodes     = flag.Int("nodes", 16, "initial system size, including the source")
 		stream    = flag.Int("stream", 60, "stream bitrate in kbps")
@@ -84,9 +83,6 @@ func run() int {
 		linger  = flag.Duration("linger", 0, "keep the -metrics endpoint up this long after the run (scrape window)")
 	)
 	flag.Parse()
-	if *scName == "" {
-		*scName = *name
-	}
 
 	if *list {
 		for _, n := range scenario.Names() {
@@ -175,19 +171,8 @@ func run() int {
 			tn.SetStepped(2 * time.Second)
 			return tn
 		}
-	case "udp":
-		// Loopback datagrams: the loss-tolerant stream path. Monitoring
-		// traffic is fire-and-forget; the 5-message exchange and the
-		// judicial chain ride the ack/retransmit layer.
-		cfg.Workers = 0
-		cfg.NewNetwork = func() transport.FaultyNetwork {
-			un := transport.NewUDPNet(nil)
-			un.SetDynamic("127.0.0.1")
-			un.SetStepped(2 * time.Second)
-			return un
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "pag-scenario: unknown transport %q (mem|tcp|udp)\n", *netKind)
+		fmt.Fprintf(os.Stderr, "pag-scenario: unknown transport %q (mem|tcp)\n", *netKind)
 		return 2
 	}
 
@@ -220,6 +205,6 @@ func loadScenario(file, name string, nodes, streamKbps int) (scenario.Scenario, 
 	case name != "":
 		return scenario.ByName(name, nodes, streamKbps)
 	default:
-		return scenario.Scenario{}, fmt.Errorf("pass -name or -file (or -list)")
+		return scenario.Scenario{}, fmt.Errorf("pass -scenario or -file (or -list)")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"sort"
 
 	"repro/internal/hhash"
 	"repro/internal/model"
@@ -480,11 +481,23 @@ func (m *monitorState) onNodeDigest(msg transport.Message) {
 // digests.
 func (m *monitorState) verify(r model.Round) {
 	// Unresolved probes: the accused ignored the monitors — R1 verdict
-	// and a Nack towards the accuser's monitors (§IV-A).
+	// and a Nack towards the accuser's monitors (§IV-A). They are handled
+	// in (accuser, accused) order, not map order: the Nacks' send order
+	// feeds the fault plane's loss draws and upload queues, which must
+	// replay identically under a seed.
+	var due []probeKey
 	for key, resolved := range m.probes {
-		if key.round != r || resolved {
-			continue
+		if key.round == r && !resolved {
+			due = append(due, key)
 		}
+	}
+	sort.Slice(due, func(i, j int) bool {
+		if due[i].accuser != due[j].accuser {
+			return due[i].accuser < due[j].accuser
+		}
+		return due[i].accused < due[j].accused
+	})
+	for _, key := range due {
 		m.probes[key] = true
 		m.n.report(Verdict{Round: r, Kind: VerdictUnresponsive,
 			Accused: key.accused, Detail: "ignored monitor probe",

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // TestDisseminationAllCorrect is the golden path: with only correct nodes,
@@ -114,6 +116,54 @@ func TestUnresponsiveNodeConvicted(t *testing.T) {
 
 	if !h.hasVerdict(dead, core.VerdictUnresponsive) {
 		t.Fatalf("unresponsive node was not flagged; verdicts: %v", h.verdicts)
+	}
+}
+
+// TestNacksSentInProbeKeyOrder: a monitor sends the Nacks for its
+// unresolved probes in (accuser, accused) order. The order is part of the
+// send sequence the fault plane's loss draws and capped upload queues
+// consume, so it must not depend on map iteration: same-seed runs under
+// loss would otherwise diverge.
+func TestNacksSentInProbeKeyOrder(t *testing.T) {
+	dead := []model.NodeID{5, 9, 13}
+	var opts []harnessOpt
+	for _, id := range dead {
+		opts = append(opts, withBehavior(id, core.Behavior{NoAck: true, IgnoreProbes: true}))
+	}
+	h := newHarness(t, 24, 2, opts...)
+	type sendKey struct {
+		from  model.NodeID
+		round model.Round
+	}
+	type probe struct{ accuser, accused model.NodeID }
+	last := map[sendKey]probe{}
+	nacks, outOfOrder := 0, 0
+	h.net.Faults().SetDropFunc(func(m transport.Message) bool {
+		if m.Kind != wire.KindNack {
+			return false
+		}
+		nack, err := wire.UnmarshalNack(m.Payload)
+		if err != nil {
+			t.Errorf("undecodable Nack: %v", err)
+			return false
+		}
+		nacks++
+		k := sendKey{nack.From, nack.Round}
+		p := probe{nack.Accuser, nack.Against}
+		if prev, ok := last[k]; ok &&
+			(p.accuser < prev.accuser || p.accuser == prev.accuser && p.accused < prev.accused) {
+			outOfOrder++
+		}
+		last[k] = p
+		return false
+	})
+	h.engine.Run(8)
+
+	if nacks == 0 {
+		t.Fatal("no Nacks were sent; the probe path never ran")
+	}
+	if outOfOrder > 0 {
+		t.Fatalf("%d of %d Nacks left a monitor out of (accuser, accused) order", outOfOrder, nacks)
 	}
 }
 

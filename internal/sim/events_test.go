@@ -77,7 +77,7 @@ func TestEngineResetsUploadBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := uint64(transport.Message{Payload: []byte("hello")}.WireSize())
-	net.SetUploadCap(1, size) // one message per round
+	net.Faults().SetUploadCap(1, size) // one message per round
 	e.Add(&phaseRecorder{id: 1, calls: new([]string), ep: ep, peer: 2})
 	e.Run(3)
 	if delivered != 3 {

@@ -110,7 +110,6 @@ func ioDelta(before, after IOStats) IOStats {
 		BytesOut:  after.BytesOut - before.BytesOut,
 		BytesIn:   after.BytesIn - before.BytesIn,
 		Jumbo:     after.Jumbo - before.Jumbo,
-		Retrans:   after.Retrans - before.Retrans,
 	}
 }
 

@@ -52,8 +52,7 @@ const (
 // (The pre-queue OutcomeCapDropped constant is gone on purpose, not
 // aliased: its meaning inverted — a capped message used to be lost, now
 // it is deferred and usually still delivered — so any switch arm written
-// against it must be reviewed, not silently recompiled. The CapDrops
-// *counter* keeps a deprecated alias below; counters only renamed.)
+// against it must be reviewed, not silently recompiled.)
 
 // DefaultQueueDeadlineRounds is the queue-expiry default: the paper's
 // 10-round playout window (§V-D) — bytes still queued when their content's
@@ -161,8 +160,7 @@ func NewFaultPlane() *FaultPlane {
 // counters they are cumulative for the plane's lifetime), a
 // current-backlog gauge updated at each BeginRound, and per-message
 // defer/expire trace events. Either argument may be nil; the obs counter
-// names use the canonical Deferred/CapExpired vocabulary, not the
-// deprecated CapDrops alias.
+// names use the Deferred/CapExpired vocabulary.
 func (p *FaultPlane) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -502,14 +500,6 @@ func (p *FaultPlane) CapExpired() uint64 {
 	return p.expired
 }
 
-// CapDrops returns how many messages upload caps discarded.
-//
-// Deprecated: since the queued link model, caps defer first and only
-// deadline expiry discards; CapDrops is an alias of CapExpired kept so
-// pre-refactor callers and report consumers stay correct. New code should
-// read CapExpired (discards) and Deferred (queue pressure) instead.
-func (p *FaultPlane) CapDrops() uint64 { return p.CapExpired() }
-
 // QueueDepth returns how many messages are currently waiting in the
 // upload queues across all nodes.
 func (p *FaultPlane) QueueDepth() int {
@@ -761,11 +751,9 @@ type FaultyNetwork interface {
 	Unregister(id model.NodeID) bool
 	// Faults returns the network's fault plane.
 	Faults() *FaultPlane
-	// Dropped returns the fault plane's combined drop counter.
-	Dropped() uint64
 	// TotalTraffic sums all per-node traffic counters.
 	TotalTraffic() Traffic
-	// Name identifies the transport ("mem", "tcp" or "udp") for run
+	// Name identifies the transport ("mem" or "tcp") for run
 	// metadata.
 	Name() string
 	// Close releases the transport's resources (no-op for MemNet).
@@ -775,5 +763,4 @@ type FaultyNetwork interface {
 var (
 	_ FaultyNetwork = (*MemNet)(nil)
 	_ FaultyNetwork = (*TCPNet)(nil)
-	_ FaultyNetwork = (*UDPNet)(nil)
 )

@@ -117,7 +117,7 @@ func TestDownloadCapDropsOverBudget(t *testing.T) {
 	if d := f.DownloadDropped(); d != 7 {
 		t.Errorf("download-dropped %d, want 7", d)
 	}
-	if d := net.Dropped(); d != 7 {
+	if d := net.Faults().Dropped(); d != 7 {
 		t.Errorf("combined drops %d, want 7 (download drops are a subset)", d)
 	}
 

@@ -104,8 +104,8 @@ func TestObsFaultCountersMatchAcrossTransports(t *testing.T) {
 	// The obs counters mirror the legacy fault-plane counters they ride
 	// beside (obs is cumulative; the legacy ones reset per measurement
 	// window, but this script never resets them).
-	if mem.Deferred() != tn.Deferred() || mem.CapExpired() != tn.CapExpired() {
+	if mem.Faults().Deferred() != tn.Faults().Deferred() || mem.Faults().CapExpired() != tn.Faults().CapExpired() {
 		t.Errorf("legacy counters diverge: deferred mem=%d tcp=%d, expired mem=%d tcp=%d",
-			mem.Deferred(), tn.Deferred(), mem.CapExpired(), tn.CapExpired())
+			mem.Faults().Deferred(), tn.Faults().Deferred(), mem.Faults().CapExpired(), tn.Faults().CapExpired())
 	}
 }

@@ -129,22 +129,6 @@ func (t *TCPNet) Name() string { return "tcp" }
 // frames, syscalls, raw bytes and jumbo aggregates.
 func (t *TCPNet) IOStats() IOStats { return t.io.snapshot() }
 
-// Dropped returns the fault plane's combined drop counter.
-func (t *TCPNet) Dropped() uint64 { return t.faults.Dropped() }
-
-// Deferred returns how many messages upload caps queued for later rounds.
-func (t *TCPNet) Deferred() uint64 { return t.faults.Deferred() }
-
-// CapExpired returns how many queued messages expired before the cap
-// released them.
-func (t *TCPNet) CapExpired() uint64 { return t.faults.CapExpired() }
-
-// CapDrops returns how many messages upload caps discarded.
-//
-// Deprecated: alias of CapExpired since the queued link model; see
-// FaultPlane.CapDrops.
-func (t *TCPNet) CapDrops() uint64 { return t.faults.CapDrops() }
-
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
 // and releases the backlog the fresh budgets allow; the released messages

@@ -113,7 +113,7 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	// statistical agreement, which holds for any interleaving.
 	lossSends := 12 * msgsPerPair * 4
 	tolerance := uint64(float64(lossSends) * 0.15)
-	memDrops, tcpDrops := mem.Dropped(), tn.Dropped()
+	memDrops, tcpDrops := mem.Faults().Dropped(), tn.Faults().Dropped()
 	diff := memDrops - tcpDrops
 	if tcpDrops > memDrops {
 		diff = tcpDrops - memDrops
@@ -125,11 +125,11 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 	// The link queue is deterministic: deferral and expiry never touch
 	// the PRNG, so for the same per-sender send sequence both transports
 	// must agree exactly — queue pressure is a measurement, not noise.
-	if mem.Deferred() != tn.Deferred() {
-		t.Errorf("deferral counters diverge: mem=%d tcp=%d", mem.Deferred(), tn.Deferred())
+	if mem.Faults().Deferred() != tn.Faults().Deferred() {
+		t.Errorf("deferral counters diverge: mem=%d tcp=%d", mem.Faults().Deferred(), tn.Faults().Deferred())
 	}
-	if mem.CapExpired() != tn.CapExpired() {
-		t.Errorf("expiry counters diverge: mem=%d tcp=%d", mem.CapExpired(), tn.CapExpired())
+	if mem.Faults().CapExpired() != tn.Faults().CapExpired() {
+		t.Errorf("expiry counters diverge: mem=%d tcp=%d", mem.Faults().CapExpired(), tn.Faults().CapExpired())
 	}
 	// Everything queued was eventually released or expired: the backlog
 	// fully drains once the cap lifts.
@@ -149,56 +149,9 @@ func TestTCPFaultCountersMatchMemNet(t *testing.T) {
 			t.Errorf("node %d deliveries diverge: mem=%d tcp=%d", i, memGot[i], tcpGot[i])
 		}
 	}
-	if memDrops == 0 || mem.Deferred() == 0 || mem.CapExpired() == 0 {
+	if memDrops == 0 || mem.Faults().Deferred() == 0 || mem.Faults().CapExpired() == 0 {
 		t.Fatalf("script exercised no faults: dropped=%d deferred=%d expired=%d",
-			memDrops, mem.Deferred(), mem.CapExpired())
-	}
-}
-
-// TestUDPFaultCountersMatchMemNet runs the identical scripted timeline
-// over loopback datagrams: the deterministic queue machinery (deferral,
-// expiry) must agree exactly with MemNet under container batching and
-// the ack/retransmit layer, loss statistically.
-func TestUDPFaultCountersMatchMemNet(t *testing.T) {
-	const msgsPerPair = 10
-
-	mem := NewMemNet()
-	memGot := faultScript(t, mem, msgsPerPair)
-
-	un := NewUDPNet(nil)
-	un.SetDynamic("127.0.0.1")
-	un.SetStepped(5 * time.Second)
-	defer func() { _ = un.Close() }()
-	udpGot := faultScript(t, un, msgsPerPair)
-
-	lossSends := 12 * msgsPerPair * 4
-	tolerance := uint64(float64(lossSends) * 0.15)
-	memDrops, udpDrops := mem.Dropped(), un.Dropped()
-	diff := memDrops - udpDrops
-	if udpDrops > memDrops {
-		diff = udpDrops - memDrops
-	}
-	if diff > tolerance {
-		t.Errorf("drop counters diverge beyond tolerance: mem=%d udp=%d (tolerance %d)",
-			memDrops, udpDrops, tolerance)
-	}
-	if mem.Deferred() != un.Deferred() {
-		t.Errorf("deferral counters diverge: mem=%d udp=%d", mem.Deferred(), un.Deferred())
-	}
-	if mem.CapExpired() != un.CapExpired() {
-		t.Errorf("expiry counters diverge: mem=%d udp=%d", mem.CapExpired(), un.CapExpired())
-	}
-	if d := un.Faults().QueueDepth(); d != 0 {
-		t.Errorf("udp queue depth %d after the uncapped drain, want 0", d)
-	}
-	for i := 1; i < len(memGot); i++ {
-		d := memGot[i] - udpGot[i]
-		if d < 0 {
-			d = -d
-		}
-		if uint64(d) > tolerance {
-			t.Errorf("node %d deliveries diverge: mem=%d udp=%d", i, memGot[i], udpGot[i])
-		}
+			memDrops, mem.Faults().Deferred(), mem.Faults().CapExpired())
 	}
 }
 
@@ -358,5 +311,5 @@ func TestTCPDynamicRosterRace(t *testing.T) {
 	}
 	close(stop)
 	senders.Wait()
-	_ = fmt.Sprintf("%d", tn.Dropped()) // counters remain readable under churn
+	_ = fmt.Sprintf("%d", tn.Faults().Dropped()) // counters remain readable under churn
 }

@@ -227,83 +227,6 @@ func (n *MemNet) Unregister(id model.NodeID) bool {
 	return true
 }
 
-// SetDropFunc, SetFaultSeed, SetLossRate, SetLinkLoss, SetPartition, Heal,
-// SetNodeDown, SetUploadCap, Dropped and the queue counters delegate to
-// the fault plane — kept as methods so existing callers (and the
-// pre-extraction API) keep working unchanged.
-
-// SetDropFunc installs a fault-injection predicate (nil to clear).
-func (n *MemNet) SetDropFunc(f DropFunc) { n.faults.SetDropFunc(f) }
-
-// Dropped returns how many messages the fault plane (drop predicate, loss,
-// partitions, down nodes and queue expiry combined) discarded.
-func (n *MemNet) Dropped() uint64 { return n.faults.Dropped() }
-
-// Deferred returns how many messages upload caps queued for later rounds.
-func (n *MemNet) Deferred() uint64 { return n.faults.Deferred() }
-
-// CapExpired returns how many queued messages expired before the cap
-// released them.
-func (n *MemNet) CapExpired() uint64 { return n.faults.CapExpired() }
-
-// CapDrops returns how many messages upload caps discarded.
-//
-// Deprecated: alias of CapExpired since the queued link model; see
-// FaultPlane.CapDrops.
-func (n *MemNet) CapDrops() uint64 { return n.faults.CapDrops() }
-
-// SetFaultSeed re-seeds the fault-plane PRNG; runs with the same seed and
-// the same send sequence replay identically.
-func (n *MemNet) SetFaultSeed(seed uint64) { n.faults.SetSeed(seed) }
-
-// SetLossRate sets the uniform message-loss probability in [0, 1].
-func (n *MemNet) SetLossRate(p float64) { n.faults.SetLossRate(p) }
-
-// SetLinkLoss sets the loss probability of the directed link from → to
-// (applied on top of the uniform rate; 0 removes the entry).
-func (n *MemNet) SetLinkLoss(from, to model.NodeID, p float64) {
-	n.faults.SetLinkLoss(from, to, p)
-}
-
-// SetPartition splits the network: messages crossing group boundaries are
-// dropped. Nodes absent from every listed group form one implicit extra
-// group (so Partition([]{victim}) isolates a single node). Heal removes
-// the partition.
-func (n *MemNet) SetPartition(groups ...[]model.NodeID) {
-	n.faults.SetPartition(groups...)
-}
-
-// Heal removes the current partition.
-func (n *MemNet) Heal() { n.faults.Heal() }
-
-// SetNodeDown marks a node crashed: everything it sends or should receive
-// is dropped, but its registration and counters are kept (so it can come
-// back up and so post-mortem accounting still works).
-func (n *MemNet) SetNodeDown(id model.NodeID, isDown bool) {
-	n.faults.SetNodeDown(id, isDown)
-}
-
-// SetUploadCap bounds a node's outbound bytes per round (0 removes the
-// cap). Messages beyond the budget wait at the NIC: they queue in FIFO
-// order and are released by later rounds' budgets (so measured egress
-// saturates at the cap while the backlog grows), expiring once they
-// out-age the queue deadline.
-func (n *MemNet) SetUploadCap(id model.NodeID, bytesPerRound uint64) {
-	n.faults.SetUploadCap(id, bytesPerRound)
-}
-
-// SetQueueDeadline bounds how long a capped node's queued messages may
-// wait before expiring (rounds; <= 0 disables expiry).
-func (n *MemNet) SetQueueDeadline(rounds int) { n.faults.SetQueueDeadline(rounds) }
-
-// SetDownloadCap bounds a node's inbound bytes per round (0 removes the
-// cap): the download side of the asymmetric-link model, applied at
-// delivery — over-budget arrivals are discarded at the receiver's NIC
-// after the sender was charged.
-func (n *MemNet) SetDownloadCap(id model.NodeID, bytesPerRound uint64) {
-	n.faults.SetDownloadCap(id, bytesPerRound)
-}
-
 // BeginRound runs the link model's round-boundary drain: the fault plane
 // expires over-age queued messages, resets the per-round upload budgets
 // and releases the backlog the fresh budgets allow; the released messages

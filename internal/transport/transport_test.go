@@ -143,7 +143,7 @@ func TestMemNetDrop(t *testing.T) {
 	_, _ = n.Register(2, func(Message) { received++ })
 	ep1, _ := n.Register(1, func(Message) {})
 
-	n.SetDropFunc(func(m Message) bool { return m.Kind == 9 })
+	n.Faults().SetDropFunc(func(m Message) bool { return m.Kind == 9 })
 	_ = ep1.Send(2, 9, []byte("dropped"))
 	_ = ep1.Send(2, 1, []byte("kept"))
 	n.DeliverAll()
@@ -151,14 +151,14 @@ func TestMemNetDrop(t *testing.T) {
 	if received != 1 {
 		t.Fatalf("received %d, want 1", received)
 	}
-	if n.Dropped() != 1 {
-		t.Fatalf("Dropped = %d", n.Dropped())
+	if n.Faults().Dropped() != 1 {
+		t.Fatalf("Dropped = %d", n.Faults().Dropped())
 	}
 	// Sender is charged for dropped bytes; receiver is not.
 	if n.TrafficOf(1).MsgsOut != 2 || n.TrafficOf(2).MsgsIn != 1 {
 		t.Fatal("drop accounting wrong")
 	}
-	n.SetDropFunc(nil)
+	n.Faults().SetDropFunc(nil)
 	_ = ep1.Send(2, 9, []byte("now kept"))
 	n.DeliverAll()
 	if received != 2 {

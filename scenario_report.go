@@ -174,7 +174,7 @@ func RunScenarioReport(base SessionConfig, sc scenario.Scenario,
 			FinalMembers:      len(s.Members()),
 			MeanContinuity:    s.MeanContinuity(),
 			MeanBandwidthKbps: weightedBandwidth(epochs),
-			MessagesDropped:   s.net.Dropped(),
+			MessagesDropped:   s.net.Faults().Dropped(),
 			MessagesDeferred:  queue.Deferred,
 			MessagesExpired:   queue.Expired,
 			Epochs:            epochs,
