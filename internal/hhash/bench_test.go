@@ -164,9 +164,9 @@ func BenchmarkProductEmbed(b *testing.B) {
 }
 
 // BenchmarkGeneratePrime times prime generation at prime bits equal to
-// modulus bits, the session default: pregenPrime with its prefilter
-// against the acceptance loop it replaced (ProbablyPrime(1) alone), which
-// yields the same primes.
+// modulus bits, the session default: pregenPrime with its sieve and
+// Montgomery Baillie-PSW test against the acceptance loop it replaced
+// (ProbablyPrime(1) alone), which yields the same primes.
 func BenchmarkGeneratePrime(b *testing.B) {
 	for _, bits := range []int{128, 256, 512} {
 		b.Run(fmt.Sprintf("probablyPrimeOnly/bits=%d", bits), func(b *testing.B) {

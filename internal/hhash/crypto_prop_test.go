@@ -287,8 +287,9 @@ func probablyPrimeOnly(t testing.TB, rnd io.Reader, bits int) *big.Int {
 	}
 }
 
-// TestPrefilterKeepsPrimeStream: the sieve and the base-2 Fermat test in
-// front of ProbablyPrime(1) change no accepted prime and no stream offset.
+// TestPrefilterKeepsPrimeStream: the sieve and the Montgomery
+// Baillie-PSW test, in place of ProbablyPrime(1), change no accepted
+// prime and no stream offset.
 // At 8 bits every candidate is below the sieve bound, so the rule that
 // the sieve never rejects one of its own primes is exercised on each draw.
 func TestPrefilterKeepsPrimeStream(t *testing.T) {

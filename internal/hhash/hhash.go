@@ -54,11 +54,12 @@ type Params struct {
 // crypto/rand.Reader.
 //
 // The factors come from the fixed-bytes-per-candidate construction of
-// pregenPrime, accepted by its prefilter and then ProbablyPrime(20), so a
-// seeded rnd always yields the same modulus: processes that share a seed
-// hash under one M. (crypto/rand.Prime would not: it consumes a random
-// number of stream bytes.) Both factors have their top two bits set, so M
-// has exactly `bits` bits.
+// pregenPrime, accepted by its sieve and then the Montgomery engine's
+// Baillie-PSW test with 20 derived-base rounds (ProbablyPrime(20)'s
+// strength), so a seeded rnd always yields the same modulus: processes
+// that share a seed hash under one M. (crypto/rand.Prime would not: it
+// consumes a random number of stream bytes.) Both factors have their top
+// two bits set, so M has exactly `bits` bits.
 func GenerateParams(rnd io.Reader, bits int) (Params, error) {
 	if rnd == nil {
 		rnd = rand.Reader

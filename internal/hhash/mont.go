@@ -2,8 +2,8 @@ package hhash
 
 // Word-level Montgomery arithmetic for odd moduli. It runs every
 // exponentiation under an odd modulus: the multi-exponentiation ladder of
-// verification, the single-base exponentiation of Lift, and the base-2
-// Fermat step of prime generation. The loop is the fused CIOS variant (FIOS):
+// verification, the single-base exponentiation of Lift, and the
+// Baillie-PSW test of prime generation. The loop is the fused CIOS variant (FIOS):
 // the a·b[i] accumulation and the u·m reduction run in ONE pass over the
 // accumulator per outer word, so t is loaded and stored once per step
 // instead of twice. math/big's assembly kernels are not reachable from
@@ -29,10 +29,13 @@ type montCtx struct {
 	rr    []uint // R² mod m (to-Montgomery factor)
 	t     []uint // generic-path accumulator, len k+1
 
-	// scratch holds exp's window table and accumulator and fermat2's
-	// accumulator, grown on first use; pow, quo and rem are setModulus's
-	// R mod m division and exp's base reduction.
+	// scratch holds the window table and accumulator of exp and of the
+	// strong rounds of probablyPrime, grown on first use; residues holds
+	// probablyPrime's constants and Lucas terms. pow, quo and rem are
+	// setModulus's R mod m division, exp's base reduction and
+	// probablyPrime's Lucas index.
 	scratch       []uint
+	residues      []uint
 	pow, quo, rem big.Int
 }
 
@@ -49,7 +52,7 @@ func newMontCtx(mod *big.Int) *montCtx {
 }
 
 // setModulus loads the odd modulus mod (bit length ≥ 2) into c, reusing
-// c's buffers, and computes everything but rr: the base-2 Fermat test of
+// c's buffers, and computes everything but rr: the primality test of
 // prime generation runs one context over many candidates and never
 // converts an arbitrary value into the Montgomery domain.
 func (c *montCtx) setModulus(mod *big.Int) {
@@ -382,18 +385,39 @@ func mul2(dst, a, b, mod []uint, n0inv uint) {
 	dp[1], _ = bits.Sub(t3, m1, borrow)
 }
 
-// double sets a = 2a mod m for a < m.
-func (c *montCtx) double(a []uint) {
+// add sets dst = a+b mod m for a, b < m. dst may alias a and/or b.
+func (c *montCtx) add(dst, a, b []uint) {
 	var carry uint
-	for j, w := range a {
-		a[j] = w<<1 | carry
-		carry = w >> (_W - 1)
+	for j := range dst {
+		dst[j], carry = bits.Add(a[j], b[j], carry)
 	}
-	if carry != 0 || !limbsLess(a, c.m) {
+	if carry != 0 || !limbsLess(dst, c.m) {
 		var borrow uint
-		for j := range a {
-			a[j], borrow = bits.Sub(a[j], c.m[j], borrow)
+		for j := range dst {
+			dst[j], borrow = bits.Sub(dst[j], c.m[j], borrow)
 		}
+	}
+}
+
+// sub sets dst = a-b mod m for a, b < m. dst may alias a and/or b.
+func (c *montCtx) sub(dst, a, b []uint) {
+	var borrow uint
+	for j := range dst {
+		dst[j], borrow = bits.Sub(a[j], b[j], borrow)
+	}
+	if borrow != 0 {
+		var carry uint
+		for j := range dst {
+			dst[j], carry = bits.Add(dst[j], c.m[j], carry)
+		}
+	}
+}
+
+// neg sets dst = m-a for 0 < a < m.
+func (c *montCtx) neg(dst, a []uint) {
+	var borrow uint
+	for j := range dst {
+		dst[j], borrow = bits.Sub(c.m[j], a[j], borrow)
 	}
 }
 
@@ -415,31 +439,45 @@ func (c *montCtx) exp(v, e *big.Int) *big.Int {
 	if v.Sign() < 0 || v.Cmp(c.mod) >= 0 {
 		v = c.rem.Mod(v, c.mod)
 	}
+	c.toMont(c.windowBase(nbits), v)
+	return c.fromMont(c.powWindow(e.Bits(), 0, nbits))
+}
+
+// windowBase sizes c's scratch for a window exponentiation by an
+// nbits-bit exponent and returns the table's first entry, where the
+// caller stores the base in Montgomery form before calling powWindow.
+func (c *montCtx) windowBase(nbits int) []uint {
+	return c.scratchLimbs((1 << multiExpWindow(nbits)) * c.k)[:c.k]
+}
+
+// powWindow returns base^e in Montgomery form, for the base stored at
+// windowBase(nbits) and the nbits-bit exponent e whose bit i is bit
+// off+i of words (words holds no bit above e's top bit). The result is
+// the accumulator at the end of c's scratch.
+func (c *montCtx) powWindow(words []big.Word, off, nbits int) []uint {
 	k := c.k
 	w := multiExpWindow(nbits)
 	tsize := 1 << w
-	ws := c.scratchLimbs(tsize * k)
-	// tbl(d) holds v^d in Montgomery form for d = 1..2^w-1; the last k
+	ws := c.scratch[:tsize*k]
+	// tbl(d) holds base^d in Montgomery form for d = 1..2^w-1; the last k
 	// limbs are the accumulator.
 	tbl := func(d int) []uint { return ws[(d-1)*k : d*k] }
 	acc := ws[(tsize-1)*k:]
-	c.toMont(tbl(1), v)
 	for d := 2; d < tsize; d++ {
 		c.mul(tbl(d), tbl(d-1), tbl(1))
 	}
-	words := e.Bits()
 	nw := (nbits + w - 1) / w
 	// The top window holds e's top bit, so its digit is never zero.
-	copy(acc, tbl(int(windowDigit(words, (nw-1)*w, w))))
+	copy(acc, tbl(int(windowDigit(words, off+(nw-1)*w, w))))
 	for pos := nw - 2; pos >= 0; pos-- {
 		for s := 0; s < w; s++ {
 			c.mul(acc, acc, acc)
 		}
-		if d := windowDigit(words, pos*w, w); d != 0 {
+		if d := windowDigit(words, off+pos*w, w); d != 0 {
 			c.mul(acc, acc, tbl(int(d)))
 		}
 	}
-	return c.fromMont(acc)
+	return acc
 }
 
 // limbsLess reports a < b for equal-length limb slices.

@@ -1,9 +1,10 @@
 package hhash
 
 // Prime generation: PAG mints one fresh prime exponent per exchange
-// (message 2 of Fig 5). pregenPrime draws the candidates; a prefilter
-// rejects most composites before the unchanged math/big test sees them,
-// and PrimePool moves the generation off the exchange's critical path.
+// (message 2 of Fig 5). pregenPrime draws the candidates; a small-prime
+// sieve rejects most composites, a Baillie-PSW test on the Montgomery
+// engine decides the rest, and PrimePool moves the generation off the
+// exchange's critical path.
 
 import (
 	"errors"
@@ -24,17 +25,18 @@ import (
 // stability. It differs from crypto/rand.Prime in two ways. Each
 // candidate consumes exactly (bits+7)/8 stream bytes (no
 // randutil.MaybeReadByte), so a seeded rnd yields a reproducible prime
-// sequence. And a candidate is accepted by ProbablyPrime(1) — one
-// random-base Miller-Rabin round, the base-2 round and a Lucas test, so
-// a Baillie-PSW test — instead of ProbablyPrime(20): no composite is known
-// to pass Baillie-PSW, and the exponents are ephemeral per-exchange keys
-// (the homomorphic identities hold for any exponent; primality only backs
-// the coprimality argument).
+// sequence. And a candidate is accepted by probablyPrime(1) — the
+// base-2 strong round, one strong round at a base derived from the
+// candidate and a Lucas test, so a Baillie-PSW test with the strength of
+// ProbablyPrime(1) — instead of 20 rounds: no composite is known to pass
+// Baillie-PSW, and the exponents are ephemeral per-exchange keys (the
+// homomorphic identities hold for any exponent; primality only backs the
+// coprimality argument).
 //
-// Before ProbablyPrime, which reseeds a math/rand source on every call,
-// each candidate meets the prefilter of randomPrime, which rejects only
-// composites that ProbablyPrime(1) rejects too, so the prime sequence is
-// the one ProbablyPrime(1) alone would accept.
+// The accepted set is ProbablyPrime(1)'s: both run the base-2 round and
+// the same Lucas test, so they can differ only on a Baillie-PSW
+// pseudoprime, and the prime sequence is the one ProbablyPrime(1) would
+// accept.
 func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 	if bits < 8 {
 		return Key{}, fmt.Errorf("hhash: prime size %d too small", bits)
@@ -47,17 +49,17 @@ func pregenPrime(rnd io.Reader, bits int) (Key, error) {
 }
 
 // randomPrime draws candidates of exactly `bits` (≥ 8) bits from rnd, a
-// fixed (bits+7)/8 bytes each, and returns the first that passes the
-// prefilter and then ProbablyPrime(reps). The prefilter runs two steps:
+// fixed (bits+7)/8 bytes each, and returns the first that passes two
+// steps:
 //
 //  1. A trial division by the odd primes below sieveBound, grouped into
 //     word-sized products (sieveComposite). A candidate with a small
-//     factor other than itself is composite, and ProbablyPrime rejects
-//     every composite that is not a Baillie-PSW pseudoprime, of which
-//     none is known (and none exists below 2^64).
-//  2. A base-2 Fermat test on the Montgomery engine. A composite n with
-//     2^(n-1) ≢ 1 (mod n) is not a base-2 strong probable prime either,
-//     and ProbablyPrime always runs the base-2 Miller-Rabin round.
+//     factor other than itself is composite, and the Baillie-PSW test
+//     rejects every composite that is not a Baillie-PSW pseudoprime, of
+//     which none is known (and none exists below 2^64).
+//  2. probablyPrime(reps) on the Montgomery engine. Its base-2 strong
+//     round comes first and rejects almost every composite the sieve
+//     let through.
 func randomPrime(rnd io.Reader, bits, reps int) (*big.Int, error) {
 	b := uint(bits % 8)
 	if b == 0 {
@@ -84,16 +86,13 @@ func randomPrime(rnd io.Reader, bits, reps int) (*big.Int, error) {
 			continue
 		}
 		mc.setModulus(p)
-		if !mc.fermat2() {
-			continue
-		}
-		if p.ProbablyPrime(reps) {
+		if mc.probablyPrime(reps) {
 			return p, nil
 		}
 	}
 }
 
-// sieveBound bounds the trial-division primes of the prefilter.
+// sieveBound bounds the trial-division primes of the sieve.
 const sieveBound = 1 << 12
 
 // sievePrime is one odd trial-division prime q with its divisibility
@@ -153,22 +152,235 @@ func sieveComposite(words []big.Word) bool {
 	return false
 }
 
-// fermat2 reports whether 2^(m-1) ≡ 1 (mod m) for c's modulus m: the
-// base-2 Fermat test. It runs left to right over the bits of m-1, which
-// are m's with bit 0 cleared, and applies the base 2 as a modular
-// doubling instead of a table multiply.
-func (c *montCtx) fermat2() bool {
-	acc := c.scratchLimbs(c.k)
-	copy(acc, c.one)
-	c.double(acc) // the top bit of m-1: acc = 2 in Montgomery form
-	for i := c.mod.BitLen() - 2; i >= 1; i-- {
+// probablyPrime reports whether c's modulus m (odd, ≥ 3) is probably
+// prime by the test big.Int.ProbablyPrime(reps) runs (Baillie and
+// Wagstaff, Math. Comp. 35, 1980), on the Montgomery engine: a strong
+// round at base 2, reps strong rounds at bases derived from m, and the
+// almost-extra-strong Lucas test. ProbablyPrime draws its bases from a
+// math/rand source seeded by m's low word; here they come from a
+// splitmix64 stream seeded by all of m's limbs. Both are fixed by m, and
+// the verdicts can differ only on a composite that passes the base-2
+// round and the Lucas test — a Baillie-PSW pseudoprime, of which none is
+// known.
+func (c *montCtx) probablyPrime(reps int) bool {
+	k := c.k
+	c.residues = resize(c.residues, 7*k)
+	mone := c.residues[:k] // m-1 in Montgomery form
+	c.neg(mone, c.one)
+	// m-1 = d·2^s with d odd: m is odd, so d's bits are m's bits s and up.
+	s := int(c.quo.Sub(c.mod, _one).TrailingZeroBits())
+	nbits := c.mod.BitLen()
+
+	// Base 2: the ladder over d's bits doubles instead of multiplying.
+	acc := c.scratchLimbs(k)
+	c.add(acc, c.one, c.one)
+	for i := nbits - 2; i >= s; i-- {
 		c.mul(acc, acc, acc)
 		if c.m[i/_W]>>(uint(i)%_W)&1 == 1 {
-			c.double(acc)
+			c.add(acc, acc, acc)
 		}
 	}
-	c.mul(acc, acc, acc) // bit 0 of m-1 is clear
-	return slices.Equal(acc, c.one)
+	if !c.strongRound(acc, mone, s) {
+		return false
+	}
+
+	// Derived bases: limbs read directly as a Montgomery residue a·R mod
+	// m, which needs no conversion. Clearing the bits from m's top bit up
+	// keeps them below m, and the forced low bit keeps them non-zero.
+	var state uint64
+	for _, w := range c.m {
+		state ^= uint64(w)
+		state = splitmix64(&state)
+	}
+	top := uint(nbits - _W*(k-1)) // bits in m's top limb
+	for i := 0; i < reps; i++ {
+		base := c.windowBase(nbits - s)
+		for j := range base {
+			base[j] = uint(splitmix64(&state))
+		}
+		base[k-1] &= 1<<(top-1) - 1
+		base[0] |= 1
+		if !c.strongRound(c.powWindow(c.mod.Bits(), s, nbits-s), mone, s) {
+			return false
+		}
+	}
+	return c.lucas()
+}
+
+// strongRound finishes a strong probable-prime round from acc = a^d in
+// Montgomery form, where m-1 = d·2^s: m passes when a^d ≡ 1 or
+// a^(d·2^j) ≡ -1 for some j < s. It overwrites acc.
+func (c *montCtx) strongRound(acc, mone []uint, s int) bool {
+	if slices.Equal(acc, c.one) || slices.Equal(acc, mone) {
+		return true
+	}
+	for j := 1; j < s; j++ {
+		c.mul(acc, acc, acc)
+		if slices.Equal(acc, mone) {
+			return true
+		}
+		if slices.Equal(acc, c.one) {
+			return false
+		}
+	}
+	return false
+}
+
+// lucas reports whether c's modulus m (odd, ≥ 3) passes the
+// almost-extra-strong Lucas probable-prime test exactly as math/big's
+// Baillie-PSW test runs it: P from Baillie-OEIS method C (the least
+// P ≥ 3 with Jacobi(P²-4, m) = -1, Q = 1), an early exit when the Jacobi
+// symbol is 0, a perfect-square check at P = 40, and then, for
+// m+1 = s·2^r with s odd, V_s ≡ ±2 with U_s ≡ 0, or V_{2^t·s} ≡ 0 for
+// some t < r-1. Each V step is one Montgomery multiply and a modular
+// subtraction.
+func (c *montCtx) lucas() bool {
+	k := c.k
+	p := uint(3)
+	for ; ; p++ {
+		if p > 10000 {
+			// As in math/big: believed impossible for a non-square m.
+			panic("hhash: cannot find (D/m) = -1 for " + c.mod.String())
+		}
+		j := jacobi(p*p-4, c.m)
+		if j == -1 {
+			break
+		}
+		if j == 0 {
+			// D = (p-2)(p+2) and the search rose from p-2 = 1, so p+2
+			// divides m: m is prime iff it is p+2.
+			return k == 1 && c.m[0] == p+2
+		}
+		if p == 40 {
+			// A square m never meets Jacobi(D, m) = -1.
+			if r := new(big.Int).Sqrt(c.mod); r.Mul(r, r).Cmp(c.mod) == 0 {
+				return false
+			}
+		}
+	}
+
+	c.residues = resize(c.residues, 7*k) // [:k] is probablyPrime's
+	rs := c.residues[k:]
+	two, mtwo, mp, vk, vk1, t := rs[:k], rs[k:2*k], rs[2*k:3*k], rs[3*k:4*k], rs[4*k:5*k], rs[5*k:6*k]
+	c.add(two, c.one, c.one)
+	c.neg(mtwo, two)
+	copy(mp, c.one) // p·R mod m, by double-and-add over p's bits
+	for i := bits.Len(p) - 2; i >= 0; i-- {
+		c.add(mp, mp, mp)
+		if p>>uint(i)&1 == 1 {
+			c.add(mp, mp, c.one)
+		}
+	}
+
+	// V_0 = 2, V_1 = P; V_2k = V_k² - 2 and V_2k+1 = V_k·V_k+1 - P walk
+	// (vk, vk1) = (V_k, V_k+1) up the bits of s, which are those of m+1
+	// from bit r up.
+	n1 := c.quo.Add(c.mod, _one)
+	r := int(n1.TrailingZeroBits())
+	words := n1.Bits()
+	copy(vk, two)
+	copy(vk1, mp)
+	for i := n1.BitLen() - 1; i >= r; i-- {
+		if words[i/_W]>>(uint(i)%_W)&1 == 1 {
+			c.mul(vk, vk, vk1)
+			c.sub(vk, vk, mp)
+			c.mul(vk1, vk1, vk1)
+			c.sub(vk1, vk1, two)
+		} else {
+			c.mul(vk1, vk, vk1)
+			c.sub(vk1, vk1, mp)
+			c.mul(vk, vk, vk)
+			c.sub(vk, vk, two)
+		}
+	}
+
+	if slices.Equal(vk, two) || slices.Equal(vk, mtwo) {
+		// U_s = D⁻¹(2V_s+1 - P·V_s), so U_s ≡ 0 iff P·V_s ≡ 2V_s+1.
+		c.mul(t, mp, vk)
+		c.add(vk1, vk1, vk1)
+		if slices.Equal(t, vk1) {
+			return true
+		}
+	}
+	for i := 0; i < r-1; i++ {
+		if isZero(vk) {
+			return true
+		}
+		if slices.Equal(vk, two) {
+			return false // V = 2 is a fixed point of V ↦ V² - 2
+		}
+		c.mul(vk, vk, vk)
+		c.sub(vk, vk, two)
+	}
+	return false
+}
+
+// jacobi returns the Jacobi symbol (a/m) for an odd m ≥ 3 with
+// little-endian limbs m.
+func jacobi(a uint, m []uint) int {
+	if len(m) == 1 {
+		return jacobiWord(a, m[0])
+	}
+	// a < m. One reciprocity step, with m reduced mod a's odd part,
+	// brings both arguments into a word.
+	if a == 0 {
+		return 0
+	}
+	j := 1
+	tz := bits.TrailingZeros(a)
+	a >>= uint(tz)
+	if tz&1 == 1 && (m[0]&7 == 3 || m[0]&7 == 5) {
+		j = -j
+	}
+	if a&3 == 3 && m[0]&3 == 3 {
+		j = -j
+	}
+	var r uint
+	for i := len(m) - 1; i >= 0; i-- {
+		_, r = bits.Div(r, m[i], a)
+	}
+	return j * jacobiWord(r, a)
+}
+
+// jacobiWord returns the Jacobi symbol (a/n) for odd n.
+func jacobiWord(a, n uint) int {
+	a %= n
+	j := 1
+	for a != 0 {
+		tz := bits.TrailingZeros(a)
+		a >>= uint(tz)
+		if tz&1 == 1 && (n&7 == 3 || n&7 == 5) {
+			j = -j
+		}
+		a, n = n, a
+		if a&3 == 3 && n&3 == 3 {
+			j = -j
+		}
+		a %= n
+	}
+	if n == 1 {
+		return j
+	}
+	return 0
+}
+
+// splitmix64 advances the splitmix64 state x and returns its next output.
+func splitmix64(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// isZero reports whether every limb of a is zero.
+func isZero(a []uint) bool {
+	for _, w := range a {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // PrimePool pregenerates prime exponents from a single entropy stream.

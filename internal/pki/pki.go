@@ -27,9 +27,11 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -275,12 +277,20 @@ func (r *rsaIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
 // outputs. It keeps the tamper-evidence the protocol logic relies on
 // (forged or altered messages still fail verification) while making
 // thousand-node simulations cheap.
+//
+// A signature is HMAC-SHA256(secret, msg) repeated to the RSA signature
+// width; a ciphertext is a zero-filled key-wrap block, a nonce and
+// AES-256-GCM under the recipient's key HMAC(secret, "pag-enc-key").
+// Each identity's keyed state is built once, when the identity is: the
+// HMAC inner and outer midstates, which every tag restores into a pooled
+// SHA-256 state, and the recipient's AEAD. The suite's entry for an id
+// holds that state, so a fresh identity for the id replaces it whole.
 type FastSuite struct {
 	sigSize  int
 	wrapSize int
 
 	mu      sync.RWMutex
-	secrets map[model.NodeID][]byte
+	secrets map[model.NodeID]*fastKey
 }
 
 var _ Suite = (*FastSuite)(nil)
@@ -290,7 +300,7 @@ func NewFastSuite() *FastSuite {
 	return &FastSuite{
 		sigSize:  DefaultRSABits / 8,
 		wrapSize: DefaultRSABits / 8,
-		secrets:  make(map[model.NodeID][]byte),
+		secrets:  make(map[model.NodeID]*fastKey),
 	}
 }
 
@@ -314,10 +324,7 @@ func (s *FastSuite) NewIdentity(id model.NodeID) (Identity, error) {
 	if _, err := rand.Read(secret); err != nil {
 		return nil, fmt.Errorf("pki: drawing node secret: %w", err)
 	}
-	s.mu.Lock()
-	s.secrets[id] = secret
-	s.mu.Unlock()
-	return &fastIdentity{id: id, secret: secret, suite: s}, nil
+	return s.register(id, secret)
 }
 
 // NewDeterministicIdentity derives a node's key material from a shared
@@ -334,97 +341,182 @@ func (s *FastSuite) NewDeterministicIdentity(id model.NodeID, seed uint64) (Iden
 	binary.BigEndian.PutUint32(buf[8:], uint32(id))
 	h.Write([]byte("pag-node-secret"))
 	h.Write(buf[:])
-	secret := h.Sum(nil)
-	s.mu.Lock()
-	s.secrets[id] = secret
-	s.mu.Unlock()
-	return &fastIdentity{id: id, secret: secret, suite: s}, nil
+	return s.register(id, h.Sum(nil))
 }
 
-func (s *FastSuite) secret(id model.NodeID) ([]byte, error) {
+// register builds the keyed state for secret and makes it id's.
+func (s *FastSuite) register(id model.NodeID, secret []byte) (Identity, error) {
+	key, err := newFastKey(secret)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.secrets[id] = key
+	s.mu.Unlock()
+	return &fastIdentity{id: id, key: key, suite: s}, nil
+}
+
+func (s *FastSuite) key(id model.NodeID) (*fastKey, error) {
 	s.mu.RLock()
-	sec, ok := s.secrets[id]
+	key, ok := s.secrets[id]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, id)
 	}
-	return sec, nil
-}
-
-func (s *FastSuite) mac(secret, msg []byte) []byte {
-	h := hmac.New(sha256.New, secret)
-	h.Write(msg)
-	tag := h.Sum(nil)
-	// Pad deterministically to the RSA signature width so wire sizes —
-	// and therefore all bandwidth measurements — match the real suite.
-	out := make([]byte, s.sigSize)
-	for i := 0; i < len(out); i += len(tag) {
-		copy(out[i:], tag)
-	}
-	copy(out, tag)
-	return out
+	return key, nil
 }
 
 // Verify implements Suite.
 func (s *FastSuite) Verify(signer model.NodeID, msg, sig []byte) error {
-	sec, err := s.secret(signer)
+	key, err := s.key(signer)
 	if err != nil {
 		return err
 	}
-	want := s.mac(sec, msg)
-	if !hmac.Equal(want, sig) {
+	if len(sig) != s.sigSize {
 		return ErrBadSignature
 	}
+	st := macPool.Get().(*macState)
+	defer macPool.Put(st)
+	tag := key.tag(st, msg)
+	for i := 0; i < len(sig); i += len(tag) {
+		chunk := sig[i:min(i+len(tag), len(sig))]
+		if !hmac.Equal(chunk, tag[:len(chunk)]) {
+			return ErrBadSignature
+		}
+	}
 	return nil
-}
-
-// encKey derives the AES key a node uses to receive ciphertexts.
-func (s *FastSuite) encKey(secret []byte) []byte {
-	h := hmac.New(sha256.New, secret)
-	h.Write([]byte("pag-enc-key"))
-	return h.Sum(nil)
 }
 
 // Encrypt implements Suite: zero-filled fake key-wrap block (size parity
 // with RSA) || nonce || GCM(msg) under the recipient's derived key.
 func (s *FastSuite) Encrypt(to model.NodeID, msg []byte) ([]byte, error) {
-	sec, err := s.secret(to)
+	key, err := s.key(to)
 	if err != nil {
 		return nil, err
 	}
-	sealed, nonce, err := gcmSeal(s.encKey(sec), msg)
-	if err != nil {
+	out := make([]byte, s.wrapSize+_gcmNonceLen, s.wrapSize+_gcmNonceLen+len(msg)+_gcmTagLen)
+	nonce := out[s.wrapSize:]
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("pki: drawing nonce: %w", err)
+	}
+	return key.aead.Seal(out, nonce, msg, nil), nil
+}
+
+// fastKey is one FastSuite identity's keyed state.
+type fastKey struct {
+	// inner and outer are the SHA-256 states after absorbing the HMAC
+	// key block XOR ipad and XOR opad, in the hash's binary marshaling.
+	inner, outer []byte
+	aead         cipher.AEAD
+}
+
+// macState is a pooled SHA-256 state for restoring midstates into, with
+// room for a tag.
+type macState struct {
+	h   hash.Hash
+	buf [sha256.Size]byte
+}
+
+var macPool = sync.Pool{New: func() any { return &macState{h: sha256.New()} }}
+
+// newFastKey computes secret's HMAC-SHA256 midstates (RFC 2104) and the
+// AEAD under HMAC(secret, "pag-enc-key").
+func newFastKey(secret []byte) (*fastKey, error) {
+	if len(secret) > sha256.BlockSize {
+		sum := sha256.Sum256(secret)
+		secret = sum[:]
+	}
+	ipad := make([]byte, sha256.BlockSize)
+	opad := make([]byte, sha256.BlockSize)
+	copy(ipad, secret)
+	copy(opad, secret)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	key := new(fastKey)
+	var err error
+	if key.inner, err = midstate(ipad); err != nil {
 		return nil, err
 	}
-	out := make([]byte, s.wrapSize, s.wrapSize+len(nonce)+len(sealed))
-	out = append(out, nonce...)
-	out = append(out, sealed...)
-	return out, nil
+	if key.outer, err = midstate(opad); err != nil {
+		return nil, err
+	}
+	st := macPool.Get().(*macState)
+	defer macPool.Put(st)
+	block, err := aes.NewCipher(key.tag(st, []byte("pag-enc-key")))
+	if err != nil {
+		return nil, fmt.Errorf("pki: aes: %w", err)
+	}
+	if key.aead, err = cipher.NewGCM(block); err != nil {
+		return nil, fmt.Errorf("pki: gcm: %w", err)
+	}
+	return key, nil
+}
+
+// midstate returns the marshaled SHA-256 state after absorbing block.
+func midstate(block []byte) ([]byte, error) {
+	h := sha256.New()
+	h.Write(block)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("pki: hmac midstate: %w", err)
+	}
+	return state, nil
+}
+
+// tag returns HMAC-SHA256(secret, msg) in st's buffer, valid until st
+// is reused.
+func (k *fastKey) tag(st *macState, msg []byte) []byte {
+	u := st.h.(encoding.BinaryUnmarshaler)
+	if err := u.UnmarshalBinary(k.inner); err != nil {
+		panic("pki: restoring hmac midstate: " + err.Error())
+	}
+	st.h.Write(msg)
+	sum := st.h.Sum(st.buf[:0])
+	if err := u.UnmarshalBinary(k.outer); err != nil {
+		panic("pki: restoring hmac midstate: " + err.Error())
+	}
+	st.h.Write(sum)
+	return st.h.Sum(st.buf[:0])
 }
 
 type fastIdentity struct {
-	id     model.NodeID
-	secret []byte
-	suite  *FastSuite
-	ops    Counter
+	id    model.NodeID
+	key   *fastKey
+	suite *FastSuite
+	ops   Counter
 }
 
 func (f *fastIdentity) NodeID() model.NodeID { return f.id }
 func (f *fastIdentity) Counter() *Counter    { return &f.ops }
 
+// Sign pads the tag deterministically to the RSA signature width, so
+// wire sizes — and therefore all bandwidth measurements — match the real
+// suite.
 func (f *fastIdentity) Sign(msg []byte) ([]byte, error) {
 	f.ops.signs.Add(1)
-	return f.suite.mac(f.secret, msg), nil
+	st := macPool.Get().(*macState)
+	tag := f.key.tag(st, msg)
+	out := make([]byte, f.suite.sigSize)
+	for i := 0; i < len(out); i += len(tag) {
+		copy(out[i:], tag)
+	}
+	macPool.Put(st)
+	return out, nil
 }
 
 func (f *fastIdentity) Decrypt(ciphertext []byte) ([]byte, error) {
 	f.ops.decrypts.Add(1)
-	min := f.suite.wrapSize + _gcmNonceLen + _gcmTagLen
-	if len(ciphertext) < min {
+	wrap := f.suite.wrapSize
+	if len(ciphertext) < wrap+_gcmNonceLen+_gcmTagLen {
 		return nil, ErrBadCiphertext
 	}
-	nonce := ciphertext[f.suite.wrapSize : f.suite.wrapSize+_gcmNonceLen]
-	return gcmOpen(f.suite.encKey(f.secret), nonce, ciphertext[f.suite.wrapSize+_gcmNonceLen:])
+	out, err := f.key.aead.Open(nil, ciphertext[wrap:wrap+_gcmNonceLen], ciphertext[wrap+_gcmNonceLen:], nil)
+	if err != nil {
+		return nil, ErrBadCiphertext
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@ package pki
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
@@ -277,13 +283,210 @@ func BenchmarkRSASign2048(b *testing.B) {
 	}
 }
 
+// TestFastTagsMatchHMAC: FastSuite signatures are HMAC-SHA256 under the
+// node secret, repeated to the RSA signature width, and ciphertexts open
+// under AES-GCM keyed by HMAC(secret, "pag-enc-key") — the bytes a
+// per-call hmac.New gives, for keys shorter and longer than a block.
+func TestFastTagsMatchHMAC(t *testing.T) {
+	s := NewFastSuite()
+	for _, keyLen := range []int{32, 100} {
+		secret := make([]byte, keyLen)
+		for i := range secret {
+			secret[i] = byte(7*i + keyLen)
+		}
+		id, err := s.register(model.NodeID(keyLen), secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 63, 64, 65, 4096} {
+			msg := make([]byte, n)
+			for i := range msg {
+				msg[i] = byte(i * 31)
+			}
+			h := hmac.New(sha256.New, secret)
+			h.Write(msg)
+			want := bytes.Repeat(h.Sum(nil), s.SignatureSize()/sha256.Size)
+			sig, err := id.Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sig, want) {
+				t.Fatalf("key %d bytes, msg %d bytes: signature differs from padded hmac.New tag", keyLen, n)
+			}
+			if err := s.Verify(id.NodeID(), msg, sig); err != nil {
+				t.Fatalf("key %d bytes, msg %d bytes: %v", keyLen, n, err)
+			}
+		}
+
+		h := hmac.New(sha256.New, secret)
+		h.Write([]byte("pag-enc-key"))
+		block, err := aes.NewCipher(h.Sum(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gcm, err := cipher.NewGCM(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte("update payload")
+		ct, err := s.Encrypt(id.NodeID(), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := s.wrapSize
+		if !bytes.Equal(ct[:w], make([]byte, w)) {
+			t.Fatal("key-wrap block is not zero-filled")
+		}
+		pt, err := gcm.Open(nil, ct[w:w+_gcmNonceLen], ct[w+_gcmNonceLen:], nil)
+		if err != nil || !bytes.Equal(pt, msg) {
+			t.Fatalf("ciphertext does not open under HMAC(secret, \"pag-enc-key\"): %v", err)
+		}
+	}
+}
+
+// TestFastRejoinReplacesKeys: a second NewIdentity for one id — a
+// re-joined node — replaces the id's keys whole. Signatures under the old
+// identity stop verifying, the new one's verify, and neither identity
+// opens what was sealed to the other's key.
+func TestFastRejoinReplacesKeys(t *testing.T) {
+	s := NewFastSuite()
+	msg := []byte("Serve, R, A, B")
+	old, err := s.NewIdentity(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSig, _ := old.Sign(msg)
+	oldCT, err := s.Encrypt(7, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.NewIdentity(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(7, msg, oldSig); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("old signature after rejoin: err = %v, want ErrBadSignature", err)
+	}
+	newSig, _ := fresh.Sign(msg)
+	if err := s.Verify(7, msg, newSig); err != nil {
+		t.Fatalf("new signature: %v", err)
+	}
+	if _, err := fresh.Decrypt(oldCT); !errors.Is(err, ErrBadCiphertext) {
+		t.Fatalf("old ciphertext opened by new identity: err = %v", err)
+	}
+	newCT, err := s.Encrypt(7, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Decrypt(newCT); !errors.Is(err, ErrBadCiphertext) {
+		t.Fatalf("new ciphertext opened by old identity: err = %v", err)
+	}
+	if pt, err := fresh.Decrypt(newCT); err != nil || !bytes.Equal(pt, msg) {
+		t.Fatalf("new identity cannot open its own ciphertext: %v", err)
+	}
+}
+
+// TestFastSuiteConcurrent drives Sign, Verify, Encrypt and Decrypt over
+// 16 identities from 8 goroutines: the pooled hash states and the shared
+// AEADs must not race (run with -race).
+func TestFastSuiteConcurrent(t *testing.T) {
+	s := NewFastSuite()
+	ids := make([]Identity, 16)
+	for i := range ids {
+		id, err := s.NewIdentity(model.NodeID(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				from, to := ids[(g+i)%len(ids)], ids[(3*g+i+1)%len(ids)]
+				msg := []byte(fmt.Sprintf("g%d i%d", g, i))
+				sig, err := from.Sign(msg)
+				if err == nil {
+					err = s.Verify(from.NodeID(), msg, sig)
+				}
+				var ct, pt []byte
+				if err == nil {
+					ct, err = s.Encrypt(to.NodeID(), msg)
+				}
+				if err == nil {
+					pt, err = to.Decrypt(ct)
+				}
+				if err == nil && !bytes.Equal(pt, msg) {
+					err = fmt.Errorf("goroutine %d: decrypted %q, want %q", g, pt, msg)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func BenchmarkFastSign(b *testing.B) {
 	s := NewFastSuite()
 	id, _ := s.NewIdentity(1)
 	msg := make([]byte, 256)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := id.Sign(msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFastVerify(b *testing.B) {
+	s := NewFastSuite()
+	id, _ := s.NewIdentity(1)
+	msg := make([]byte, 256)
+	sig, _ := id.Sign(msg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Verify(1, msg, sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFastEncrypt(b *testing.B) {
+	s := NewFastSuite()
+	s.NewIdentity(1)
+	msg := make([]byte, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Encrypt(1, msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFastDecrypt(b *testing.B) {
+	s := NewFastSuite()
+	id, _ := s.NewIdentity(1)
+	ct, err := s.Encrypt(1, make([]byte, 1024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := id.Decrypt(ct); err != nil {
 			b.Fatal(err)
 		}
 	}
