@@ -99,7 +99,8 @@ func bigs(t testing.TB, lits ...string) []*big.Int {
 
 var (
 	// Strong pseudoprimes to base 2 (OEIS A001262, the start of it), and
-	// larger ones that pass every prime base up to 23, 37 and 29.
+	// larger ones that are strong pseudoprimes to every prime base up to
+	// 23, 37, 41 and 29 respectively.
 	strongPseudoprimes2 = []int64{2047, 3277, 4033, 4681, 8321, 15841, 29341,
 		42799, 49141, 52633, 65281, 74665, 80581, 85489, 88357, 90751}
 	largeStrongPseudoprimes = []string{"3825123056546413051",

@@ -14,6 +14,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/model"
 )
 
 // pregenPrime draws a prime exponent of exactly `bits` bits from rnd.
@@ -187,16 +189,16 @@ func (c *montCtx) probablyPrime(reps int) bool {
 	// Derived bases: limbs read directly as a Montgomery residue a·R mod
 	// m, which needs no conversion. Clearing the bits from m's top bit up
 	// keeps them below m, and the forced low bit keeps them non-zero.
-	var state uint64
+	var rng model.SplitMix64
 	for _, w := range c.m {
-		state ^= uint64(w)
-		state = splitmix64(&state)
+		rng.State ^= uint64(w)
+		rng.State = rng.Next()
 	}
 	top := uint(nbits - _W*(k-1)) // bits in m's top limb
 	for i := 0; i < reps; i++ {
 		base := c.windowBase(nbits - s)
 		for j := range base {
-			base[j] = uint(splitmix64(&state))
+			base[j] = uint(rng.Next())
 		}
 		base[k-1] &= 1<<(top-1) - 1
 		base[0] |= 1
@@ -237,12 +239,13 @@ func (c *montCtx) strongRound(acc, mone []uint, s int) bool {
 func (c *montCtx) lucas() bool {
 	k := c.k
 	p := uint(3)
+	d := new(big.Int)
 	for ; ; p++ {
 		if p > 10000 {
 			// As in math/big: believed impossible for a non-square m.
 			panic("hhash: cannot find (D/m) = -1 for " + c.mod.String())
 		}
-		j := jacobi(p*p-4, c.m)
+		j := big.Jacobi(d.SetUint64(uint64(p*p-4)), c.mod)
 		if j == -1 {
 			break
 		}
@@ -313,64 +316,6 @@ func (c *montCtx) lucas() bool {
 		c.sub(vk, vk, two)
 	}
 	return false
-}
-
-// jacobi returns the Jacobi symbol (a/m) for an odd m ≥ 3 with
-// little-endian limbs m.
-func jacobi(a uint, m []uint) int {
-	if len(m) == 1 {
-		return jacobiWord(a, m[0])
-	}
-	// a < m. One reciprocity step, with m reduced mod a's odd part,
-	// brings both arguments into a word.
-	if a == 0 {
-		return 0
-	}
-	j := 1
-	tz := bits.TrailingZeros(a)
-	a >>= uint(tz)
-	if tz&1 == 1 && (m[0]&7 == 3 || m[0]&7 == 5) {
-		j = -j
-	}
-	if a&3 == 3 && m[0]&3 == 3 {
-		j = -j
-	}
-	var r uint
-	for i := len(m) - 1; i >= 0; i-- {
-		_, r = bits.Div(r, m[i], a)
-	}
-	return j * jacobiWord(r, a)
-}
-
-// jacobiWord returns the Jacobi symbol (a/n) for odd n.
-func jacobiWord(a, n uint) int {
-	a %= n
-	j := 1
-	for a != 0 {
-		tz := bits.TrailingZeros(a)
-		a >>= uint(tz)
-		if tz&1 == 1 && (n&7 == 3 || n&7 == 5) {
-			j = -j
-		}
-		a, n = n, a
-		if a&3 == 3 && n&3 == 3 {
-			j = -j
-		}
-		a %= n
-	}
-	if n == 1 {
-		return j
-	}
-	return 0
-}
-
-// splitmix64 advances the splitmix64 state x and returns its next output.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
 }
 
 // isZero reports whether every limb of a is zero.
